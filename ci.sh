@@ -16,6 +16,11 @@ fi
 echo "== go vet ./... =="
 go vet ./...
 
+echo "== go vet ./... in perfbench (its own module) =="
+# perfbench is a separate module, so go build ./... never compiles it;
+# vetting it here catches changes to the serve API it calls.
+(cd perfbench && go vet ./...)
+
 echo "== hpcvet ./... (json + baseline + stats) =="
 # One run does triple duty: -format json proves the machine-readable path,
 # -baseline diffs the findings against the committed grandfather list
@@ -340,7 +345,6 @@ b3pid=""
 # locally before touching the parsers or the service request path):
 #   go test -fuzz=FuzzParseCTP -fuzztime=30s ./internal/ctp
 #   go test -fuzz=FuzzLicenseRequest -fuzztime=30s ./internal/serve
-#   go test -fuzz=FuzzAppendLicenseResponse -fuzztime=30s ./internal/serve
 #   go test -fuzz=FuzzParseLicensePostBody -fuzztime=30s ./internal/serve
 #   go test -fuzz=FuzzParseLicenseQuery -fuzztime=30s ./internal/serve
 #   go test -fuzz=FuzzWALRecord -fuzztime=30s ./internal/wal

@@ -40,8 +40,8 @@
 // p50/p99 nanoseconds (from an internal/obs power-of-two histogram, so
 // quantiles are order-of-magnitude bounds), and client-side allocations
 // per request (runtime.MemStats delta across the measured phase — the
-// generator's own cost, reported so codec regressions on the client path
-// are visible too). With -against, shared scenarios are compared by qps
+// generator's own cost, reported so regressions on the client path are
+// visible too). With -against, shared scenarios are compared by qps
 // and the run fails if any falls below (1 - tolerance) of the baseline.
 package main
 
@@ -230,9 +230,9 @@ func buildWorkload(name, base string, seed uint64, mix, batchSize int) (*workloa
 	case "post":
 		for i := 0; i < mix; i++ {
 			req := genReq()
-			body, ok := serve.AppendLicenseRequest(nil, &req)
-			if !ok {
-				return nil, fmt.Errorf("scenario post: unencodable generated request %+v", req)
+			body, err := json.Marshal(req)
+			if err != nil {
+				return nil, fmt.Errorf("scenario post: unencodable generated request %+v: %w", req, err)
 			}
 			w.bodies = append(w.bodies, body)
 		}
@@ -242,9 +242,9 @@ func buildWorkload(name, base string, seed uint64, mix, batchSize int) (*workloa
 			for j := range reqs {
 				reqs[j] = genReq()
 			}
-			body, ok := serve.AppendBatchRequest(nil, reqs)
-			if !ok {
-				return nil, fmt.Errorf("scenario batch: unencodable generated batch")
+			body, err := json.Marshal(serve.BatchRequest{Requests: reqs})
+			if err != nil {
+				return nil, fmt.Errorf("scenario batch: unencodable generated batch: %w", err)
 			}
 			w.bodies = append(w.bodies, body)
 		}

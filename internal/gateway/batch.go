@@ -2,8 +2,10 @@ package gateway
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
+	"sync"
 
 	"repro/internal/serve"
 )
@@ -76,28 +78,16 @@ func (g *Gateway) scatterGather(w http.ResponseWriter, r *http.Request, reqs []s
 		return
 	}
 
-	ctx := r.Context()
-	inbound := r.Header
-	g.pool.Run(len(order), func(_, lo, hi int) {
-		for s := lo; s < hi; s++ {
-			sh := order[s]
-			body, err := encodeBatch(sh.reqs)
-			if err != nil {
-				sh.err = err
-				continue
-			}
-			sh.res, sh.err = g.forwardKeyed(ctx, sh.key, http.MethodPost, "/v1/license", body, inbound, "")
-			if sh.err != nil || sh.res.status != http.StatusOK {
-				continue
-			}
-			items, ok := splitBatchItems(sh.res.body)
-			if !ok || len(items) != len(sh.idx) {
-				sh.err = errUnsplittable
-				continue
-			}
-			sh.items = items
-		}
-	})
+	// Each shard is one backend exchange, so each gets its own goroutine.
+	var wg sync.WaitGroup
+	for _, sh := range order {
+		wg.Add(1)
+		go func(sh *batchShard) {
+			defer wg.Done()
+			g.fetchShard(r.Context(), sh, r.Header)
+		}(sh)
+	}
+	wg.Wait()
 
 	for _, sh := range order {
 		if sh.err != nil {
@@ -131,18 +121,34 @@ func (g *Gateway) scatterGather(w http.ResponseWriter, r *http.Request, reqs []s
 	writeRawJSON(w, http.StatusOK, body)
 }
 
+// fetchShard forwards one shard's sub-batch to its owner and splits a
+// 200 answer into per-item bytes. A failure lands in sh.err.
+func (g *Gateway) fetchShard(ctx context.Context, sh *batchShard, inbound http.Header) {
+	body, err := encodeBatch(sh.reqs)
+	if err != nil {
+		sh.err = err
+		return
+	}
+	sh.res, sh.err = g.forwardKeyed(ctx, sh.key, http.MethodPost, "/v1/license", body, inbound, "")
+	if sh.err != nil || sh.res.status != http.StatusOK {
+		return
+	}
+	items, ok := splitBatchItems(sh.res.body)
+	if !ok || len(items) != len(sh.idx) {
+		sh.err = errUnsplittable
+		return
+	}
+	sh.items = items
+}
+
 var errUnsplittable = jsonError("backend batch response did not parse")
 
 type jsonError string
 
 func (e jsonError) Error() string { return string(e) }
 
-// encodeBatch renders a sub-batch body with the canonical encoder, the
-// stdlib as fallback for values the fast path declines.
+// encodeBatch renders a sub-batch body.
 func encodeBatch(reqs []serve.LicenseRequest) ([]byte, error) {
-	if body, ok := serve.AppendBatchRequest(nil, reqs); ok {
-		return body, nil
-	}
 	return json.Marshal(serve.BatchRequest{Requests: reqs})
 }
 

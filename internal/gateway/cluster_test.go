@@ -437,6 +437,72 @@ func TestGatewayScatterGatherByteIdentity(t *testing.T) {
 	}
 }
 
+// TestGatewayConcurrentColdBatches posts cold multi-shard batches from
+// several callers at once. Each batch fans out over all three backends;
+// every answer must arrive before the deadline, byte-identical to a
+// single node's answer to the same batch.
+func TestGatewayConcurrentColdBatches(t *testing.T) {
+	const callers, rounds, items = 4, 4, 24
+	tc := newTestCluster(t, 3, Config{NoHedge: true}, nil)
+	single, err := serve.New(serve.Config{Clock: gwTestClock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := make([]string, callers*rounds)
+	for b := range bodies {
+		reqs := make([]serve.LicenseRequest, items)
+		for i := range reqs {
+			reqs[i] = licenseRequest(b*items + i)
+		}
+		raw, err := json.Marshal(serve.BatchRequest{Requests: reqs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[b] = string(raw)
+	}
+	post := func(h http.Handler, body string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/v1/license", strings.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+
+	// The gateway handler runs in process: a hung batch then fails the
+	// deadline below instead of blocking the front server's shutdown.
+	got := make([]*httptest.ResponseRecorder, len(bodies))
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				got[c*rounds+r] = post(tc.gw.Handler(), bodies[c*rounds+r])
+			}
+		}(c)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("concurrent cold batches unanswered after 10s")
+	}
+
+	for i, rec := range got {
+		want := post(single.Handler(), bodies[i])
+		if rec.Code != http.StatusOK || want.Code != http.StatusOK {
+			t.Fatalf("batch %d: status %d, single node %d: %s", i, rec.Code, want.Code, rec.Body)
+		}
+		if !bytes.Equal(rec.Body.Bytes(), want.Body.Bytes()) {
+			t.Errorf("batch %d differs from the single node's answer", i)
+		}
+	}
+	if v := tc.gw.batchFanout.Value(); v < 2*uint64(len(bodies)) {
+		t.Errorf("gateway_batch_fanout_total = %d, want >= %d (every batch multi-shard)", v, 2*len(bodies))
+	}
+}
+
 // TestGatewayMembershipReload pins file-watched membership: the file is
 // authoritative once it parses, growing it moves only the keys the new
 // member takes over, and shrinking it moves only the departed member's

@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/parpool"
 )
 
 // Defaults applied by New to zero Config fields.
@@ -53,7 +52,6 @@ const (
 	DefaultForwardTimeout = 10 * time.Second
 	DefaultDrainTimeout   = 5 * time.Second
 	DefaultMaxBatch       = 256
-	DefaultBatchWorkers   = 8
 )
 
 // hedgeMinSamples is how many latency observations a backend needs
@@ -116,9 +114,6 @@ type Config struct {
 	// its canonical rejection.
 	MaxBatch int
 
-	// BatchWorkers sizes the shard fan-out pool shared by all batches.
-	BatchWorkers int
-
 	// ForwardTimeout bounds one whole keyed fetch (all attempts and the
 	// hedge race); DrainTimeout bounds graceful shutdown.
 	ForwardTimeout time.Duration
@@ -169,7 +164,6 @@ type Gateway struct {
 	memberLoaded bool
 
 	flights flightGroup
-	pool    *parpool.Pool
 
 	requests atomic.Uint64
 
@@ -248,12 +242,6 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.MaxBatch == 0 {
 		cfg.MaxBatch = DefaultMaxBatch
 	}
-	if cfg.BatchWorkers == 0 {
-		cfg.BatchWorkers = DefaultBatchWorkers
-	}
-	if cfg.BatchWorkers < 1 {
-		return nil, errors.New("gateway: BatchWorkers must be at least 1")
-	}
 	if cfg.ForwardTimeout == 0 {
 		cfg.ForwardTimeout = DefaultForwardTimeout
 	}
@@ -293,11 +281,11 @@ func New(cfg Config) (*Gateway, error) {
 		reg:      obs.NewRegistry(),
 		backends: make(map[string]*backend),
 		ring:     buildRing(nil, cfg.VNodes),
-		pool:     parpool.New(cfg.BatchWorkers),
 	}
 	if cfg.FlightCapacity >= 0 {
 		g.flightrec = obs.NewRecorder(cfg.FlightCapacity)
 	}
+	g.flights.Abandoned = errors.New("gateway: keyed fetch panicked")
 	g.requestsC = g.reg.Counter("gateway_requests_total", "requests admitted through the gateway")
 	g.hedges = g.reg.Counter("gateway_hedges_total", "hedged second fetches launched")
 	g.hedgeWins = g.reg.Counter("gateway_hedge_wins_total", "hedged fetches that answered before the primary")
@@ -370,12 +358,10 @@ func (g *Gateway) Start(ctx context.Context) {
 }
 
 // Close joins every goroutine the gateway owns: the prober (after its
-// context is cancelled), in-flight hedge fetches and verifiers, and the
-// shard fan-out pool.
+// context is cancelled) and in-flight hedge fetches and verifiers.
 func (g *Gateway) Close() {
 	g.loopWG.Wait()
 	g.verifyWG.Wait()
-	g.pool.Close()
 }
 
 // routes builds the endpoint mux.

@@ -7,9 +7,9 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 
 	"repro/internal/serve"
+	"repro/internal/singleflight"
 )
 
 // errNoBackends is returned when no member can accept a request at all.
@@ -181,84 +181,34 @@ func (g *Gateway) forwardKeyed(ctx context.Context, key, method, uri string, bod
 
 // ---- gateway singleflight ------------------------------------------------
 
-// gwCall is one in-flight keyed fetch; waiters block on done and share
-// the leader's result (safe: proxyResult bodies are never mutated after
-// fill).
-type gwCall struct {
-	done    chan struct{}
-	waiters int
-	res     *proxyResult
-	err     error
-}
-
 // flightGroup coalesces concurrent fetches of one canonical key so a
-// thundering herd costs one backend computation cluster-wide.
+// thundering herd costs one backend computation cluster-wide. Waiters
+// share the leader's *proxyResult, whose body is never mutated.
 type flightGroup struct {
-	mu    sync.Mutex
-	calls map[string]*gwCall
-}
-
-// do runs fn once per key per flight; concurrent callers share the
-// result. leader reports whether this caller computed. Errors propagate
-// to every waiter but are never cached: the next request leads afresh.
-func (f *flightGroup) do(key string, fn func() (*proxyResult, error)) (res *proxyResult, err error, leader bool) {
-	f.mu.Lock()
-	if f.calls == nil {
-		f.calls = make(map[string]*gwCall)
-	}
-	if c, ok := f.calls[key]; ok {
-		c.waiters++
-		f.mu.Unlock()
-		<-c.done
-		return c.res, c.err, false
-	}
-	c := &gwCall{done: make(chan struct{})}
-	f.calls[key] = c
-	f.mu.Unlock()
-
-	filled := false
-	defer func() {
-		if !filled {
-			c.err = errors.New("gateway: keyed fetch panicked")
-		}
-		f.mu.Lock()
-		delete(f.calls, key)
-		f.mu.Unlock()
-		close(c.done)
-	}()
-	c.res, c.err = fn()
-	filled = true
-	return c.res, c.err, true
+	singleflight.Group[*proxyResult]
 }
 
 // waitersFor reports how many callers are blocked on key's in-flight
 // fetch right now (a test hook for the herd tests).
-func (f *flightGroup) waitersFor(key string) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if c, ok := f.calls[key]; ok {
-		return c.waiters
-	}
-	return 0
-}
+func (f *flightGroup) waitersFor(key string) int { return f.Waiters(key) }
 
 // ---- handlers ------------------------------------------------------------
 
 // serveKeyed answers one canonical-keyed license request: singleflight
 // first (a herd on one key costs one fetch), then a hedged fetch by the
 // leader.
-func (g *Gateway) serveKeyed(w http.ResponseWriter, r *http.Request, key, method, uri string, body []byte) {
-	requestCapture(r).SetKey([]byte(key))
-	res, err, leader := g.flights.do(key, func() (*proxyResult, error) {
+func (g *Gateway) serveKeyed(w http.ResponseWriter, r *http.Request, key []byte, method, uri string, body []byte) {
+	requestCapture(r).SetKey(key)
+	res, coalesced, err := g.flights.Do(key, func(key string) (*proxyResult, error) {
 		if g.flightBarrier != nil {
 			g.flightBarrier(key)
 		}
 		return g.hedgedFetch(r.Context(), key, method, uri, body, r.Header)
 	})
-	if leader {
-		g.flightLeader.Inc()
-	} else {
+	if coalesced {
 		g.flightCoalesced.Inc()
+	} else {
+		g.flightLeader.Inc()
 	}
 	if err != nil {
 		writeError(w, http.StatusBadGateway, "gateway: %v", err)
@@ -279,7 +229,7 @@ func (g *Gateway) handleLicenseGet(w http.ResponseWriter, r *http.Request) {
 		g.proxyByURI(w, r, nil)
 		return
 	}
-	g.serveKeyed(w, r, string(key), http.MethodGet, r.URL.RequestURI(), nil)
+	g.serveKeyed(w, r, key, http.MethodGet, r.URL.RequestURI(), nil)
 }
 
 func (g *Gateway) handleLicensePost(w http.ResponseWriter, r *http.Request) {
@@ -308,7 +258,7 @@ func (g *Gateway) handleLicensePost(w http.ResponseWriter, r *http.Request) {
 		g.proxyByURI(w, r, body)
 		return
 	}
-	g.serveKeyed(w, r, string(key), http.MethodPost, "/v1/license", body)
+	g.serveKeyed(w, r, key, http.MethodPost, "/v1/license", body)
 }
 
 // proxyByURI routes a request by the hash of its URI — no canonical key,

@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // TestLicenseBatchPartialFailure drives a batch mixing every per-item
@@ -148,5 +151,63 @@ func TestLicenseBatchParallelMatchesInline(t *testing.T) {
 	recWarm := do(t, par.Handler(), "POST", "/v1/license", body)
 	if !bytes.Equal(recWarm.Body.Bytes(), recPar.Body.Bytes()) {
 		t.Error("warm batch body differs from cold batch body")
+	}
+}
+
+// TestConcurrentColdBatches posts cold batches from several callers at
+// once to a multi-worker server. Every batch has enough misses to want
+// the parallel batch pool, which must never Run for two batches at once:
+// each answer must arrive before the deadline, byte-identical to a
+// BatchWorkers:1 server's answer to the same batch.
+func TestConcurrentColdBatches(t *testing.T) {
+	const callers, rounds, items = 4, 4, 64
+	body := func(c, r int) string {
+		var sb strings.Builder
+		sb.WriteString(`{"requests":[`)
+		for i := 0; i < items; i++ {
+			if i > 0 {
+				sb.WriteByte(',')
+			}
+			fmt.Fprintf(&sb, `{"ctp":%d,"destination":"india","endUse":"caller %d"}`, 100+r*items+i, c)
+		}
+		sb.WriteString(`]}`)
+		return sb.String()
+	}
+	par, err := New(Config{Clock: testClock, BatchWorkers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inl, err := New(Config{Clock: testClock, BatchWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	got := make([]*httptest.ResponseRecorder, callers*rounds)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				got[c*rounds+r] = do(t, par.Handler(), "POST", "/v1/license", body(c, r))
+			}
+		}(c)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("concurrent cold batches unanswered after 10s")
+	}
+
+	for i, rec := range got {
+		want := do(t, inl.Handler(), "POST", "/v1/license", body(i/rounds, i%rounds))
+		if rec.Code != http.StatusOK || want.Code != http.StatusOK {
+			t.Fatalf("batch %d: status %d, inline %d: %s", i, rec.Code, want.Code, rec.Body)
+		}
+		if !bytes.Equal(rec.Body.Bytes(), want.Body.Bytes()) {
+			t.Errorf("batch %d differs from the inline server's answer", i)
+		}
 	}
 }

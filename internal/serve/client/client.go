@@ -520,51 +520,21 @@ func (e *APIError) Error() string {
 
 // License asks for one license decision. Decisions are canonically keyed
 // on the server — replaying the POST cannot double-apply anything — so
-// the request retries like a GET. The exchange uses the serve package's
-// hot-path codec on both legs (the same encoder the server's fuzz suite
-// proves byte-identical to encoding/json), falling back to the stdlib
-// for any shape the fast path declines.
+// the request retries like a GET.
 func (c *Client) License(ctx context.Context, req serve.LicenseRequest) (*serve.LicenseResponse, error) {
-	buf, ok := serve.AppendLicenseRequest(nil, &req)
-	if !ok {
-		var err error
-		if buf, err = json.Marshal(req); err != nil {
-			return nil, err
-		}
-	}
-	respBody, err := c.roundTrip(ctx, http.MethodPost, c.base+"/v1/license", "application/json", buf, true)
-	if err != nil {
+	var out serve.LicenseResponse
+	if err := c.post(ctx, "/v1/license", req, &out, true); err != nil {
 		return nil, err
 	}
-	out := &serve.LicenseResponse{}
-	if !serve.DecodeLicenseResponse(respBody, out) {
-		if err := json.Unmarshal(respBody, out); err != nil {
-			return nil, fmt.Errorf("client: decoding response: %w", err)
-		}
-	}
-	return out, nil
+	return &out, nil
 }
 
 // LicenseBatch asks for a batch of license decisions, answered in request
-// order. Batches are idempotent for the same reason single decisions are,
-// and ride the same fast codec with the same stdlib fallback.
+// order. Batches are idempotent for the same reason single decisions are.
 func (c *Client) LicenseBatch(ctx context.Context, reqs []serve.LicenseRequest) ([]serve.BatchItem, error) {
-	buf, ok := serve.AppendBatchRequest(nil, reqs)
-	if !ok {
-		var err error
-		if buf, err = json.Marshal(serve.BatchRequest{Requests: reqs}); err != nil {
-			return nil, err
-		}
-	}
-	respBody, err := c.roundTrip(ctx, http.MethodPost, c.base+"/v1/license", "application/json", buf, true)
-	if err != nil {
-		return nil, err
-	}
 	var out serve.BatchResponse
-	if !serve.DecodeBatchResponse(respBody, &out) {
-		if err := json.Unmarshal(respBody, &out); err != nil {
-			return nil, fmt.Errorf("client: decoding response: %w", err)
-		}
+	if err := c.post(ctx, "/v1/license", serve.BatchRequest{Requests: reqs}, &out, true); err != nil {
+		return nil, err
 	}
 	return out.Decisions, nil
 }

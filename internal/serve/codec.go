@@ -1,7 +1,9 @@
 package serve
 
 import (
-	"math"
+	"bytes"
+	"encoding/json"
+	"errors"
 	"strconv"
 	"strings"
 	"unicode"
@@ -11,97 +13,11 @@ import (
 	"repro/internal/units"
 )
 
-// This file is the license hot-path codec: hand-rolled, append-based JSON
-// encoding and strict decoding for the /v1/license request and response
-// shapes. The encoders are byte-identical to the encoding/json output
-// they replace (proven by the differential fuzz tests in codec_test.go);
-// the decoders accept exactly the canonical form and report !ok on any
-// deviation, at which point the caller falls back to the stdlib path —
-// so every accepted body parses identically to encoding/json, and every
-// rejected body produces encoding/json's exact error text.
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends s as a JSON string literal exactly as
-// encoding/json renders it: HTML-escaping on (<, >, & become \u00XX),
-// \b, \f, \n, \r, \t as two-byte escapes, other control bytes as
-// \u00XX, invalid UTF-8 replaced with the \ufffd escape, and the
-// U+2028/U+2029 line separators escaped as six-byte sequences.
-func appendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if b := s[i]; b < utf8.RuneSelf {
-			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch b {
-			case '\\', '"':
-				dst = append(dst, '\\', b)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				// Control bytes without a two-byte escape, plus <, >, &.
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		c, size := utf8.DecodeRuneInString(s[i:])
-		if c == utf8.RuneError && size == 1 {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
-			i += size
-			start = i
-			continue
-		}
-		if c == ' ' || c == ' ' {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
-			i += size
-			start = i
-			continue
-		}
-		i += size
-	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
-}
-
-// appendJSONFloat appends f exactly as encoding/json's float64 encoder
-// does: shortest representation, 'f' format unless the magnitude calls
-// for 'e', and the exponent's leading zero trimmed. Non-finite values
-// report ok == false (encoding/json returns an error for them).
-func appendJSONFloat(dst []byte, f float64) ([]byte, bool) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return dst, false
-	}
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		// Clean up e-09 to e-9, as encoding/json does.
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst, true
-}
+// This file holds the license request parsers: a strict POST-body parser
+// with the verbatim stdlib decoder as its fallback, and an
+// allocation-free GET query parser. Responses are encoded with
+// encoding/json once per cache fill (encodeCached), so no encoder lives
+// here.
 
 // appendCanonicalFloat appends the canonical cache-key rendering of v —
 // the append-style canonicalFloat, for key construction without the
@@ -110,130 +26,20 @@ func appendCanonicalFloat(dst []byte, v float64) []byte {
 	return strconv.AppendFloat(dst, v, 'g', -1, 64)
 }
 
-// appendLicenseResponse appends r exactly as json.Marshal renders it
-// (no trailing newline). ok is false only for non-finite floats, which
-// the decision path never produces.
-func appendLicenseResponse(dst []byte, r *LicenseResponse) ([]byte, bool) {
-	var ok bool
-	dst = append(dst, '{')
-	if r.System != "" {
-		dst = append(dst, `"system":`...)
-		dst = appendJSONString(dst, r.System)
-		dst = append(dst, ',')
-	}
-	dst = append(dst, `"destination":`...)
-	dst = appendJSONString(dst, r.Destination)
-	if r.EndUse != "" {
-		dst = append(dst, `,"endUse":`...)
-		dst = appendJSONString(dst, r.EndUse)
-	}
-	dst = append(dst, `,"tier":`...)
-	dst = appendJSONString(dst, r.Tier)
-	dst = append(dst, `,"ctpMtops":`...)
-	if dst, ok = appendJSONFloat(dst, r.CTPMtops); !ok {
-		return dst, false
-	}
-	dst = append(dst, `,"thresholdMtops":`...)
-	if dst, ok = appendJSONFloat(dst, r.ThresholdMtops); !ok {
-		return dst, false
-	}
-	dst = append(dst, `,"outcome":`...)
-	dst = appendJSONString(dst, r.Outcome)
-	if len(r.Safeguards) > 0 {
-		dst = append(dst, `,"safeguards":[`...)
-		for i, sg := range r.Safeguards {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = appendJSONString(dst, sg)
-		}
-		dst = append(dst, ']')
-	}
-	dst = append(dst, `,"rationale":`...)
-	dst = appendJSONString(dst, r.Rationale)
-	return append(dst, '}'), true
-}
-
-// AppendLicenseRequest appends r exactly as json.Marshal renders it. ok
-// is false for non-finite floats (where json.Marshal errors instead).
+// AppendLicenseRequest appends r's json.Marshal encoding to dst. ok is
+// false where json.Marshal errors: a non-finite CTP, threshold or date.
 func AppendLicenseRequest(dst []byte, r *LicenseRequest) ([]byte, bool) {
-	var ok bool
-	dst = append(dst, '{')
-	first := true
-	comma := func(dst []byte) []byte {
-		if first {
-			first = false
-			return dst
-		}
-		return append(dst, ',')
-	}
-	if r.System != "" {
-		dst = comma(dst)
-		dst = append(dst, `"system":`...)
-		dst = appendJSONString(dst, r.System)
-	}
-	if r.CTP != 0 {
-		v := float64(r.CTP)
-		if math.IsInf(v, 0) || math.IsNaN(v) {
-			return dst, false
-		}
-		dst = comma(dst)
-		dst = append(dst, `"ctp":`...)
-		dst = appendCanonicalFloat(dst, v)
-	}
-	dst = comma(dst)
-	dst = append(dst, `"destination":`...)
-	dst = appendJSONString(dst, r.Destination)
-	if r.EndUse != "" {
-		dst = append(dst, `,"endUse":`...)
-		dst = appendJSONString(dst, r.EndUse)
-	}
-	if r.Threshold != 0 {
-		v := float64(r.Threshold)
-		if math.IsInf(v, 0) || math.IsNaN(v) {
-			return dst, false
-		}
-		dst = append(dst, `,"threshold":`...)
-		dst = appendCanonicalFloat(dst, v)
-	}
-	if r.Date != 0 {
-		dst = append(dst, `,"date":`...)
-		if dst, ok = appendJSONFloat(dst, r.Date); !ok {
-			return dst, false
-		}
-	}
-	return append(dst, '}'), true
-}
-
-// AppendBatchRequest appends BatchRequest{Requests: reqs} exactly as
-// json.Marshal renders it.
-func AppendBatchRequest(dst []byte, reqs []LicenseRequest) ([]byte, bool) {
-	dst = append(dst, `{"requests":`...)
-	if reqs == nil {
-		dst = append(dst, `null`...)
-		return append(dst, '}'), true
-	}
-	dst = append(dst, '[')
-	var ok bool
-	for i := range reqs {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		if dst, ok = AppendLicenseRequest(dst, &reqs[i]); !ok {
-			return dst, false
-		}
-	}
-	dst = append(dst, ']')
-	return append(dst, '}'), true
+	b, err := json.Marshal(r)
+	return append(dst, b...), err == nil
 }
 
 // ---- strict decoding -----------------------------------------------------
 
 // jsonCursor is a strict single-pass JSON reader. Every read method
 // reports !ok on any input the fast path does not handle — malformed
-// JSON, but also valid JSON the canonical encoders never produce
-// (escaped keys, case-insensitive field names, unknown fields). The
-// caller treats !ok as "re-parse with encoding/json".
+// JSON, but also valid JSON json.Marshal never produces (escaped keys,
+// case-insensitive field names, unknown fields). The caller treats !ok
+// as "re-parse with encoding/json".
 type jsonCursor struct {
 	data []byte
 	pos  int
@@ -264,8 +70,8 @@ func (c *jsonCursor) byteIs(b byte) bool {
 }
 
 // readKey reads an object key as raw bytes. Keys with escapes, control
-// bytes, or non-ASCII report !ok — the canonical encoders only emit
-// plain ASCII keys, and anything else must take the stdlib path so
+// bytes, or non-ASCII report !ok — json.Marshal only emits plain ASCII
+// keys for these shapes, and anything else must take the stdlib path so
 // case-insensitive matching and DisallowUnknownFields behave exactly.
 func (c *jsonCursor) readKey() ([]byte, bool) {
 	if !c.byteIs('"') {
@@ -586,8 +392,8 @@ func (c *jsonCursor) parseRequestList(reqs *[]LicenseRequest) bool {
 	}
 }
 
-// parseLicensePostBody is the fast path of handleLicensePost: it accepts
-// exactly the canonical body shape and reports !ok for everything else,
+// parseLicensePostBody is the fast path of decodeLicensePostBody: it
+// accepts exactly the canonical body shape and reports !ok for everything else,
 // including trailing non-whitespace (the dec.More() check of the stdlib
 // path). The differential fuzz test proves every accepted body decodes
 // identically to encoding/json.
@@ -601,260 +407,28 @@ func parseLicensePostBody(data []byte, out *licensePostBody) bool {
 	return c.pos == len(c.data)
 }
 
-// ---- response decoding (client side) -------------------------------------
+// errTrailingData reports a body with more after its JSON value.
+var errTrailingData = errors.New("trailing data")
 
-// parseLicenseResponseFields parses one decision object.
-func (c *jsonCursor) parseLicenseResponseFields(out *LicenseResponse) bool {
-	if !c.byteIs('{') {
-		return false
+// decodeLicensePostBody decodes a /v1/license POST body into out. The
+// strict parser answers every body it accepts; everything else re-runs
+// the verbatim stdlib path (DisallowUnknownFields plus a trailing-data
+// check), so acceptance rules and error texts are encoding/json's.
+func decodeLicensePostBody(body []byte, out *licensePostBody) error {
+	*out = licensePostBody{}
+	if parseLicensePostBody(body, out) {
+		return nil
 	}
-	c.pos++
-	c.skipWS()
-	if c.byteIs('}') {
-		c.pos++
-		return true
+	*out = licensePostBody{}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(out); err != nil {
+		return err
 	}
-	for {
-		c.skipWS()
-		key, ok := c.readKey()
-		if !ok {
-			return false
-		}
-		c.skipWS()
-		if !c.byteIs(':') {
-			return false
-		}
-		c.pos++
-		c.skipWS()
-		if c.lit("null") {
-			// Field untouched, as encoding/json leaves it.
-		} else {
-			switch string(key) {
-			case "system":
-				if out.System, ok = c.readString(); !ok {
-					return false
-				}
-			case "destination":
-				if out.Destination, ok = c.readString(); !ok {
-					return false
-				}
-			case "endUse":
-				if out.EndUse, ok = c.readString(); !ok {
-					return false
-				}
-			case "tier":
-				if out.Tier, ok = c.readString(); !ok {
-					return false
-				}
-			case "ctpMtops":
-				if out.CTPMtops, ok = c.readNumber(); !ok {
-					return false
-				}
-			case "thresholdMtops":
-				if out.ThresholdMtops, ok = c.readNumber(); !ok {
-					return false
-				}
-			case "outcome":
-				if out.Outcome, ok = c.readString(); !ok {
-					return false
-				}
-			case "rationale":
-				if out.Rationale, ok = c.readString(); !ok {
-					return false
-				}
-			case "safeguards":
-				if !c.byteIs('[') {
-					return false
-				}
-				c.pos++
-				sgs := []string{}
-				c.skipWS()
-				if c.byteIs(']') {
-					c.pos++
-					out.Safeguards = sgs
-					break
-				}
-				for {
-					c.skipWS()
-					if c.lit("null") {
-						sgs = append(sgs, "")
-					} else {
-						s, ok := c.readString()
-						if !ok {
-							return false
-						}
-						sgs = append(sgs, s)
-					}
-					c.skipWS()
-					if c.byteIs(',') {
-						c.pos++
-						continue
-					}
-					if !c.byteIs(']') {
-						return false
-					}
-					c.pos++
-					out.Safeguards = sgs
-					break
-				}
-			default:
-				return false
-			}
-		}
-		c.skipWS()
-		if c.byteIs(',') {
-			c.pos++
-			continue
-		}
-		if c.byteIs('}') {
-			c.pos++
-			return true
-		}
-		return false
+	if dec.More() {
+		return errTrailingData
 	}
-}
-
-// DecodeLicenseResponse strictly parses one /v1/license decision body.
-// ok is false on any non-canonical input; callers fall back to
-// encoding/json (the fast path covers exactly what the daemon emits).
-func DecodeLicenseResponse(data []byte, out *LicenseResponse) bool {
-	c := jsonCursor{data: data}
-	c.skipWS()
-	if !c.parseLicenseResponseFields(out) {
-		return false
-	}
-	c.skipWS()
-	return c.pos == len(c.data)
-}
-
-// DecodeBatchResponse strictly parses a /v1/license batch body; ok is
-// false on any non-canonical input.
-func DecodeBatchResponse(data []byte, out *BatchResponse) bool {
-	c := jsonCursor{data: data}
-	c.skipWS()
-	if !c.byteIs('{') {
-		return false
-	}
-	c.pos++
-	c.skipWS()
-	if c.byteIs('}') {
-		c.pos++
-		c.skipWS()
-		return c.pos == len(c.data)
-	}
-	for {
-		c.skipWS()
-		key, ok := c.readKey()
-		if !ok || string(key) != "decisions" {
-			return false
-		}
-		c.skipWS()
-		if !c.byteIs(':') {
-			return false
-		}
-		c.pos++
-		c.skipWS()
-		if c.lit("null") {
-			out.Decisions = nil
-		} else if !c.parseBatchItems(&out.Decisions) {
-			return false
-		}
-		c.skipWS()
-		if c.byteIs('}') {
-			c.pos++
-			c.skipWS()
-			return c.pos == len(c.data)
-		}
-		return false
-	}
-}
-
-// parseBatchItems parses the "decisions" array of a batch response.
-func (c *jsonCursor) parseBatchItems(items *[]BatchItem) bool {
-	if !c.byteIs('[') {
-		return false
-	}
-	c.pos++
-	out := []BatchItem{}
-	c.skipWS()
-	if c.byteIs(']') {
-		c.pos++
-		*items = out
-		return true
-	}
-	for {
-		c.skipWS()
-		out = append(out, BatchItem{})
-		item := &out[len(out)-1]
-		if !c.lit("null") && !c.parseBatchItem(item) {
-			return false
-		}
-		c.skipWS()
-		if c.byteIs(',') {
-			c.pos++
-			continue
-		}
-		if c.byteIs(']') {
-			c.pos++
-			*items = out
-			return true
-		}
-		return false
-	}
-}
-
-func (c *jsonCursor) parseBatchItem(item *BatchItem) bool {
-	if !c.byteIs('{') {
-		return false
-	}
-	c.pos++
-	c.skipWS()
-	if c.byteIs('}') {
-		c.pos++
-		return true
-	}
-	for {
-		c.skipWS()
-		key, ok := c.readKey()
-		if !ok {
-			return false
-		}
-		c.skipWS()
-		if !c.byteIs(':') {
-			return false
-		}
-		c.pos++
-		c.skipWS()
-		switch string(key) {
-		case "decision":
-			if c.lit("null") {
-				break
-			}
-			item.Decision = new(LicenseResponse)
-			if !c.parseLicenseResponseFields(item.Decision) {
-				return false
-			}
-		case "error":
-			if c.lit("null") {
-				break
-			}
-			if item.Error, ok = c.readString(); !ok {
-				return false
-			}
-		default:
-			return false
-		}
-		c.skipWS()
-		if c.byteIs(',') {
-			c.pos++
-			continue
-		}
-		if c.byteIs('}') {
-			c.pos++
-			return true
-		}
-		return false
-	}
+	return nil
 }
 
 // ---- query-string parsing ------------------------------------------------

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"math"
 	"net/url"
@@ -34,51 +33,9 @@ var trickyFloats = []float64{
 	math.SmallestNonzeroFloat64, math.MaxFloat64, math.Inf(1), math.NaN(),
 }
 
-// FuzzAppendLicenseResponse is the encoder half of the byte-identity
-// contract: every response the fast encoder accepts renders exactly the
-// bytes json.Marshal renders, and every response it declines is one
-// json.Marshal errors on (non-finite floats).
-func FuzzAppendLicenseResponse(f *testing.F) {
-	for i, s := range trickyStrings {
-		fl := trickyFloats[i%len(trickyFloats)]
-		f.Add(s, s, s, s, s, s, s, s, fl, fl, uint8(i))
-	}
-	f.Add("Cray C916", "india", "weather", "certification required", "approve with safeguards",
-		"rationale", "on-site audit", "remote access controls", 21125.0, 1500.0, uint8(3))
-
-	f.Fuzz(func(t *testing.T, system, dest, endUse, tier, outcome, rationale, sg1, sg2 string,
-		ctp, th float64, nsg uint8) {
-		r := &LicenseResponse{
-			System: system, Destination: dest, EndUse: endUse, Tier: tier,
-			CTPMtops: ctp, ThresholdMtops: th, Outcome: outcome, Rationale: rationale,
-		}
-		switch nsg % 4 {
-		case 1:
-			r.Safeguards = []string{}
-		case 2:
-			r.Safeguards = []string{sg1}
-		case 3:
-			r.Safeguards = []string{sg1, sg2}
-		}
-		got, ok := appendLicenseResponse(nil, r)
-		want, err := json.Marshal(r)
-		if !ok {
-			if err == nil {
-				t.Fatalf("fast encoder declined %+v but json.Marshal accepted: %s", r, want)
-			}
-			return
-		}
-		if err != nil {
-			t.Fatalf("fast encoder accepted %+v but json.Marshal errored: %v", r, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("encoding diverged for %+v:\nfast:   %s\nstdlib: %s", r, got, want)
-		}
-	})
-}
-
-// FuzzAppendLicenseRequest proves the request encoder byte-identical to
-// json.Marshal, including CTPValue's canonical 'g'-format rendering.
+// FuzzAppendLicenseRequest: the strict parser accepts every body
+// AppendLicenseRequest renders and decodes it exactly as encoding/json
+// does, so well-formed client bodies never pay for the stdlib fallback.
 func FuzzAppendLicenseRequest(f *testing.F) {
 	for i, s := range trickyStrings {
 		fl := trickyFloats[i%len(trickyFloats)]
@@ -92,48 +49,25 @@ func FuzzAppendLicenseRequest(f *testing.F) {
 			System: system, CTP: CTPValue(ctp), Destination: dest,
 			EndUse: endUse, Threshold: CTPValue(th), Date: date,
 		}
-		got, ok := AppendLicenseRequest(nil, r)
-		want, err := json.Marshal(r)
+		body, ok := AppendLicenseRequest(nil, r)
 		if !ok {
-			if err == nil {
-				t.Fatalf("fast encoder declined %+v but json.Marshal accepted: %s", r, want)
-			}
 			return
 		}
-		if err != nil {
-			t.Fatalf("fast encoder accepted %+v but json.Marshal errored: %v", r, err)
+		var fast licensePostBody
+		if !parseLicensePostBody(body, &fast) {
+			t.Fatalf("strict parser declined the encoding of %+v: %s", r, body)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("encoding diverged for %+v:\nfast:   %s\nstdlib: %s", r, got, want)
+		var ref licensePostBody
+		if err := json.Unmarshal(body, &ref); err != nil {
+			t.Fatalf("stdlib rejects the encoding of %+v: %v", r, err)
+		}
+		if !reflect.DeepEqual(fast, ref) {
+			t.Fatalf("decoding diverged for %s:\nfast:   %+v\nstdlib: %+v", body, fast, ref)
 		}
 	})
 }
 
-// TestAppendBatchRequestMatchesStdlib covers the nil, empty, and mixed
-// batch shapes against json.Marshal.
-func TestAppendBatchRequestMatchesStdlib(t *testing.T) {
-	cases := [][]LicenseRequest{
-		nil,
-		{},
-		{{CTP: 21125, Destination: "india"}},
-		{{System: "Cray C916", Destination: "iran"}, {CTP: 4.5, Destination: "日本", EndUse: "<cfd>"}},
-	}
-	for _, reqs := range cases {
-		got, ok := AppendBatchRequest(nil, reqs)
-		if !ok {
-			t.Fatalf("encoder declined %+v", reqs)
-		}
-		want, err := json.Marshal(BatchRequest{Requests: reqs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("batch encoding diverged:\nfast:   %s\nstdlib: %s", got, want)
-		}
-	}
-}
-
-// FuzzParseLicensePostBody is the decoder half of the contract: every
+// FuzzParseLicensePostBody pins the strict parser to the stdlib: every
 // body the strict parser accepts must decode identically under the
 // verbatim stdlib path (DisallowUnknownFields + trailing-data check), so
 // falling back on !ok can never change an accepted request's meaning.
@@ -176,65 +110,6 @@ func FuzzParseLicensePostBody(f *testing.F) {
 		}
 		if !reflect.DeepEqual(fast, ref) {
 			t.Fatalf("decoding diverged for %q:\nfast:   %+v\nstdlib: %+v", body, fast, ref)
-		}
-	})
-}
-
-// FuzzDecodeLicenseResponse: every body the strict response decoder
-// accepts must produce exactly the struct json.Unmarshal produces.
-func FuzzDecodeLicenseResponse(f *testing.F) {
-	seeds := []string{
-		`{}`,
-		`{"destination":"india","tier":"certification required","ctpMtops":21125,"thresholdMtops":1500,"outcome":"approve with safeguards","safeguards":["a","b"],"rationale":"r"}`,
-		`{"system":"Cray C916","destination":"iran","tier":"restricted","ctpMtops":1e4,"thresholdMtops":195,"outcome":"deny","rationale":"embargo"}`,
-		`{"safeguards":[]}`,
-		`{"safeguards":null,"rationale":null}`,
-		`{"destination":"caf\u00e9 \ud834\udd1e"}`,
-		`{"ctpMtops":"not a number"}`,
-		` { "outcome" : "x" } extra`,
-	}
-	for _, s := range seeds {
-		f.Add([]byte(s))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var fast LicenseResponse
-		if !DecodeLicenseResponse(data, &fast) {
-			return
-		}
-		var ref LicenseResponse
-		if err := json.Unmarshal(data, &ref); err != nil {
-			t.Fatalf("fast decoder accepted %q but stdlib rejects it: %v", data, err)
-		}
-		if !reflect.DeepEqual(fast, ref) {
-			t.Fatalf("decoding diverged for %q:\nfast:   %+v\nstdlib: %+v", data, fast, ref)
-		}
-	})
-}
-
-// FuzzDecodeBatchResponse mirrors FuzzDecodeLicenseResponse for the
-// batch shape.
-func FuzzDecodeBatchResponse(f *testing.F) {
-	seeds := []string{
-		`{"decisions":[]}`,
-		`{"decisions":null}`,
-		`{"decisions":[{"decision":{"destination":"india","tier":"t","ctpMtops":1,"thresholdMtops":2,"outcome":"o","rationale":"r"}},{"error":"unknown system \"nope\""}]}`,
-		`{"decisions":[null,{}]}`,
-		`{"decisions":[{"decision":null,"error":null}]}`,
-	}
-	for _, s := range seeds {
-		f.Add([]byte(s))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var fast BatchResponse
-		if !DecodeBatchResponse(data, &fast) {
-			return
-		}
-		var ref BatchResponse
-		if err := json.Unmarshal(data, &ref); err != nil {
-			t.Fatalf("fast decoder accepted %q but stdlib rejects it: %v", data, err)
-		}
-		if !reflect.DeepEqual(fast, ref) {
-			t.Fatalf("decoding diverged for %q:\nfast:   %+v\nstdlib: %+v", data, fast, ref)
 		}
 	})
 }
@@ -333,26 +208,4 @@ func FuzzQueryUnescape(f *testing.F) {
 			t.Fatalf("unescape divergence for %q: fast %q, stdlib %q", s, got, want)
 		}
 	})
-}
-
-// TestAppendJSONFloatMatchesStdlib sweeps the float encoder's format
-// breakpoints against json.Marshal.
-func TestAppendJSONFloatMatchesStdlib(t *testing.T) {
-	for _, v := range trickyFloats {
-		got, ok := appendJSONFloat(nil, v)
-		want, err := json.Marshal(v)
-		if !ok {
-			if err == nil {
-				t.Errorf("appendJSONFloat declined %v but json.Marshal accepted", v)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("appendJSONFloat accepted %v but json.Marshal errored: %v", v, err)
-			continue
-		}
-		if string(got) != string(want) {
-			t.Errorf("float %v: fast %s, stdlib %s", v, got, want)
-		}
-	}
 }

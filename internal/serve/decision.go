@@ -234,18 +234,12 @@ func buildDecision(a *fillArgs) (*LicenseResponse, *statusError) {
 
 // encodeCached renders a response to its cached wire form: the exact
 // bytes writeJSON would produce (trailing newline included) plus the
-// preformatted Content-Length value. The hand-rolled encoder produces
-// bytes identical to encoding/json — a property the differential fuzz
-// test enforces — and the stdlib remains as the fallback for inputs the
-// fast path declines.
+// preformatted Content-Length value. It runs once per cache fill; every
+// hit replays these bytes without encoding anything.
 func encodeCached(resp *LicenseResponse) (*cachedDecision, error) {
-	body, ok := appendLicenseResponse(nil, resp)
-	if !ok {
-		var err error
-		body, err = json.Marshal(resp)
-		if err != nil {
-			return nil, err
-		}
+	body, err := json.Marshal(resp)
+	if err != nil {
+		return nil, err
 	}
 	body = append(body, '\n')
 	return &cachedDecision{
@@ -270,6 +264,16 @@ func (s *Server) evalDecision(ctx context.Context, a *fillArgs) (*cachedDecision
 		return nil, httpErr(http.StatusInternalServerError, "response encoding failed")
 	}
 	return d, nil
+}
+
+// flightDo runs the fill for key through the singleflight group: the
+// first arrival leads and computes, later arrivals share its result.
+// coalesced reports whether this caller waited on another's computation.
+func (s *Server) flightDo(ctx context.Context, key []byte, a *fillArgs) (dec *cachedDecision, coalesced bool, err error) {
+	return s.flights.Do(key, func(skey string) (*cachedDecision, error) {
+		s.met.flightLead()
+		return s.fillDecision(ctx, skey, a)
+	})
 }
 
 // fillDecision is the coalescing leader's computation: evaluate, encode,

@@ -10,8 +10,6 @@ package serve
 // request path, not duplicated, so the two can never drift.
 
 import (
-	"bytes"
-	"encoding/json"
 	"sync"
 
 	"repro/internal/catalog"
@@ -61,20 +59,14 @@ func DecodeLicenseQuery(rawQuery string) (LicenseRequest, bool) {
 }
 
 // DecodeLicenseBody parses a /v1/license POST body with the server's
-// acceptance rules: the hand-rolled fast parser first, the strict stdlib
-// decoder as fallback. It returns either the single request or the batch
-// slice (isBatch true). ok is false for bodies the server would reject —
-// malformed JSON, trailing data, or a body that sets both the single and
-// batch forms.
+// decoder and acceptance rules. It returns either the single request or
+// the batch slice (isBatch true). ok is false for bodies the server
+// would reject — malformed JSON, trailing data, or a body that sets both
+// the single and batch forms.
 func DecodeLicenseBody(body []byte) (single LicenseRequest, batch []LicenseRequest, isBatch, ok bool) {
 	var pb licensePostBody
-	if !parseLicensePostBody(body, &pb) {
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		pb = licensePostBody{}
-		if err := dec.Decode(&pb); err != nil || dec.More() {
-			return LicenseRequest{}, nil, false, false
-		}
+	if decodeLicensePostBody(body, &pb) != nil {
+		return LicenseRequest{}, nil, false, false
 	}
 	if pb.Requests != nil {
 		if pb.LicenseRequest != (LicenseRequest{}) {

@@ -135,23 +135,9 @@ func (s *Server) handleLicensePost(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusRequestEntityTooLarge, "request body too large or unreadable")
 		return
 	}
-	sc.pb = licensePostBody{}
-	if !parseLicensePostBody(body, &sc.pb) {
-		// The fast parser accepts only bodies it can prove the stdlib
-		// would decode identically; everything else re-runs the verbatim
-		// stdlib path, preserving its exact acceptance rules and error
-		// text.
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		sc.pb = licensePostBody{}
-		if err := dec.Decode(&sc.pb); err != nil {
-			writeError(w, http.StatusBadRequest, "malformed license request: %v", err)
-			return
-		}
-		if dec.More() {
-			writeError(w, http.StatusBadRequest, "malformed license request: trailing data")
-			return
-		}
+	if err := decodeLicensePostBody(body, &sc.pb); err != nil {
+		writeError(w, http.StatusBadRequest, "malformed license request: %v", err)
+		return
 	}
 
 	if sc.pb.Requests != nil {
@@ -349,8 +335,11 @@ func (s *Server) answerBatch(w http.ResponseWriter, r *http.Request, sc *scratch
 				sl.dec = d
 			}
 		}
-		if p := s.batchPool(); p != nil && pending >= batchParallelMin {
+		// A parpool.Pool must not Run concurrently: one batch at a time
+		// claims it, and a batch that finds it claimed fills inline.
+		if p := s.batchPool(); p != nil && pending >= batchParallelMin && s.poolBusy.CompareAndSwap(false, true) {
 			p.Run(n, func(_, lo, hi int) { fill(lo, hi) })
+			s.poolBusy.Store(false)
 		} else {
 			fill(0, n)
 		}
@@ -369,8 +358,9 @@ func (s *Server) answerBatch(w http.ResponseWriter, r *http.Request, sc *scratch
 			body = append(body, d.body[:len(d.body)-1]...)
 			body = append(body, '}')
 		} else {
+			msg, _ := json.Marshal(slots[i].errMsg) // a string always encodes
 			body = append(body, `{"error":`...)
-			body = appendJSONString(body, slots[i].errMsg)
+			body = append(body, msg...)
 			body = append(body, '}')
 		}
 	}

@@ -49,6 +49,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/parpool"
+	"repro/internal/singleflight"
 	"repro/internal/slo"
 	"repro/internal/threshold"
 	"repro/internal/trend"
@@ -194,7 +195,7 @@ type Server struct {
 	// flights coalesces concurrent cold fills of one decision key;
 	// flightBarrier is a test hook invoked by the coalescing leader
 	// between winning the key and computing, nil outside tests.
-	flights       flightGroup
+	flights       singleflight.Group[*cachedDecision]
 	flightBarrier func(key string)
 
 	// systemsByName indexes the catalog by exact name, short-circuiting
@@ -202,9 +203,11 @@ type Server struct {
 	systemsByName map[string]catalog.System
 
 	// pool evaluates large license batches in parallel; built lazily by
-	// batchPool on the first batch big enough to want it.
+	// batchPool on the first batch big enough to want it. poolBusy is
+	// held by the one batch running on it.
 	pool     *parpool.Pool
 	poolOnce sync.Once
+	poolBusy atomic.Bool
 
 	projOnce sync.Once
 	projFit  trend.Exponential
@@ -295,6 +298,8 @@ func New(cfg Config) (*Server, error) {
 		s.warmStart()
 	}
 	s.met = newServerMetrics(s)
+	s.flights.OnWait = s.met.flightWait
+	s.flights.Abandoned = httpErr(http.StatusInternalServerError, "license fill failed")
 	// The SLO engine mounts after the instrument set it reads from, so
 	// its sources and gauges can bind to the registered counters.
 	if cfg.SLO.Active() {

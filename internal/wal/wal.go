@@ -90,9 +90,13 @@ func (p FsyncPolicy) String() string {
 // the documented defaults.
 type Options struct {
 	Dir          string
-	SegmentBytes int64       // rotate once a segment exceeds this; 0 = DefaultSegmentBytes
-	Fsync        FsyncPolicy // zero value = FsyncAlways
-	HubRing      int         // replayable event-ring capacity; 0 = DefaultHubRing
+	SegmentBytes int64 // rotate once a segment exceeds this; 0 = DefaultSegmentBytes
+	HubRing      int   // replayable event-ring capacity; 0 = DefaultHubRing
+
+	// Fsync is the append durability barrier. The zero value is
+	// FsyncNever; FsyncAlways comes from setting it, or from
+	// ParseFsyncPolicy(""), the daemon's flag path.
+	Fsync FsyncPolicy
 
 	// opener replaces the segment-file opener; nil means the real
 	// filesystem. Unexported: only this package's crash/corruption test
