@@ -43,6 +43,14 @@ go test -shuffle=on ./... > /dev/null
 echo "== parpool barrier/reduction under -race, repeated =="
 go test -race -count=2 ./internal/parpool/
 
+echo "== request deadline and ctx-aware singleflight under -race, repeated =="
+# The waiter that leaves its flight at ctx.Done(), the coalesced herd,
+# the cut wait answered 503, and the overrunning fill that keeps its
+# semaphore slot, each run ten times under the race detector.
+go test -race -count=10 \
+	-run '^(TestWaiterLeavesAtContextEnd|TestCoalescedFillsAreByteIdentical|TestCoalescedWaitEndsAtDeadline|TestMaxInFlightBoundsOverrunningFills)$' \
+	./internal/singleflight/ ./internal/serve/
+
 echo "== bench smoke (one iteration of every benchmark) =="
 go test -run '^$' -bench . -benchtime=1x ./... > /dev/null
 

@@ -100,7 +100,7 @@ func main() {
 		addr      = flag.String("addr", serve.DefaultAddr, "listen address")
 		debugAddr = flag.String("debug-addr", "", "optional pprof listener address (keep it loopback); empty disables profiling")
 		inflight  = flag.Int("inflight", serve.DefaultMaxInFlight, "maximum concurrent requests")
-		timeout   = flag.Duration("timeout", serve.DefaultRequestTimeout, "per-request deadline")
+		timeout   = flag.Duration("timeout", serve.DefaultRequestTimeout, "per-request deadline on waits (a wait past it answers 503); work in progress runs to completion")
 		batch     = flag.Int("batch", serve.DefaultMaxBatch, "largest accepted license batch")
 		cache     = flag.Int("cache", serve.DefaultCacheSize, "entries per LRU cache")
 		drain     = flag.Duration("drain", serve.DefaultDrainTimeout, "shutdown drain window")

@@ -199,7 +199,7 @@ func (f *flightGroup) waitersFor(key string) int { return f.Waiters(key) }
 // leader.
 func (g *Gateway) serveKeyed(w http.ResponseWriter, r *http.Request, key []byte, method, uri string, body []byte) {
 	requestCapture(r).SetKey(key)
-	res, coalesced, err := g.flights.Do(key, func(key string) (*proxyResult, error) {
+	res, coalesced, err := g.flights.Do(r.Context(), key, func(key string) (*proxyResult, error) {
 		if g.flightBarrier != nil {
 			g.flightBarrier(key)
 		}

@@ -54,6 +54,37 @@ func TestWarmLicenseGetZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestWarmLicenseGetStackAllocs pins the allocation ceiling of a warm GET
+// /v1/license through the whole middleware stack — request ID, semaphore,
+// trace root, flight-recorder capture, request deadline, routing and the
+// handler — with the tracer and flight recorder on and no request log,
+// as `hpcexportd -quiet` runs. The handler allocates nothing
+// (TestWarmLicenseGetZeroAllocs), so every allocation counted here is
+// per-request bookkeeping; a raised count is serial cost that every
+// request pays.
+func TestWarmLicenseGetStackAllocs(t *testing.T) {
+	const ceiling = 18
+	s := newTestServer(t)
+	if s.tracer == nil || s.flightrec == nil || s.logger != nil {
+		t.Fatal("test server must trace and capture without logging, as hpcexportd -quiet does")
+	}
+	req := httptest.NewRequest("GET", "/v1/license?ctp=21125&dest=india&endUse=modeling", nil)
+	req.Header.Set("X-Request-Id", "alloc-pin")
+	w := &nullResponseWriter{h: make(http.Header, 8)}
+	h := s.Handler()
+
+	h.ServeHTTP(w, req) // warm the cache and the pools
+	allocs := testing.AllocsPerRun(200, func() {
+		h.ServeHTTP(w, req)
+	})
+	if w.code != http.StatusOK || w.h.Get("X-Cache") != "hit" {
+		t.Fatalf("status = %d, X-Cache = %q, want 200 hit", w.code, w.h.Get("X-Cache"))
+	}
+	if allocs > ceiling {
+		t.Errorf("warm GET /v1/license through the middleware allocates %.1f objects per request, want at most %d", allocs, ceiling)
+	}
+}
+
 // BenchmarkLicenseHotPath measures the handler-level warm GET: the same
 // path the allocation pin covers, reported as ns/op and allocs/op.
 func BenchmarkLicenseHotPath(b *testing.B) {

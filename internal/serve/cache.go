@@ -29,14 +29,16 @@ type lruNode[K comparable, V any] struct {
 
 // NewLRU returns an LRU holding at most capacity entries. A capacity
 // below one is raised to one so the zero-configuration path still caches
-// the most recent query.
+// the most recent query. The entries map starts empty and grows with use:
+// capacity is a bound, not a reservation, so a cache that stays small
+// (the snapshot cache on a license-only workload) costs almost nothing.
 func NewLRU[K comparable, V any](capacity int) *LRU[K, V] {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &LRU[K, V]{
 		capacity: capacity,
-		entries:  make(map[K]*lruNode[K, V], capacity),
+		entries:  make(map[K]*lruNode[K, V]),
 	}
 }
 
@@ -99,16 +101,16 @@ func (l *LRU[K, V]) Stats() CacheStats {
 }
 
 // cachedDecision is one license decision as the decision cache stores
-// it: the immutable response struct plus its exact wire rendering, so a
-// warm hit writes precomputed bytes instead of re-encoding. body is the
-// full response body including the trailing newline; clen is the
-// preformatted Content-Length header value, shaped as the one-element
-// slice http.Header wants so the hit path assigns it without allocating.
-// hash is the FNV-1a-64 digest of body — the fingerprint the decision
-// log records so warm-start replay can prove a recomputed body is
-// byte-identical to the one served before the restart.
+// it: its exact wire rendering, its length and its hash — nothing else,
+// so an entry retains only what a hit serves. body is the full response
+// body including the trailing newline, written as is by a warm hit and
+// spliced by the batch path; clen is the preformatted Content-Length
+// header value, shaped as the one-element slice http.Header wants so the
+// hit path assigns it without allocating. hash is the FNV-1a-64 digest
+// of body — the fingerprint the decision log records so warm-start
+// replay can prove a recomputed body is byte-identical to the one served
+// before the restart.
 type cachedDecision struct {
-	resp *LicenseResponse
 	body []byte
 	clen []string
 	hash uint64
@@ -129,7 +131,7 @@ func newDecisionLRU(capacity int) *decisionLRU {
 	}
 	l := &decisionLRU{}
 	l.capacity = capacity
-	l.entries = make(map[string]*lruNode[string, *cachedDecision], capacity)
+	l.entries = make(map[string]*lruNode[string, *cachedDecision])
 	return l
 }
 

@@ -243,7 +243,6 @@ func encodeCached(resp *LicenseResponse) (*cachedDecision, error) {
 	}
 	body = append(body, '\n')
 	return &cachedDecision{
-		resp: resp,
 		body: body,
 		clen: []string{strconv.Itoa(len(body))},
 		hash: bodyHash(body),
@@ -266,14 +265,24 @@ func (s *Server) evalDecision(ctx context.Context, a *fillArgs) (*cachedDecision
 	return d, nil
 }
 
+// errTimedOut answers a request whose wait on another's computation
+// outlived its deadline.
+var errTimedOut = httpErr(http.StatusServiceUnavailable, "request timed out")
+
 // flightDo runs the fill for key through the singleflight group: the
 // first arrival leads and computes, later arrivals share its result.
 // coalesced reports whether this caller waited on another's computation.
+// A waiter stops waiting when ctx ends and gets errTimedOut; the leader
+// computes to completion whatever its deadline.
 func (s *Server) flightDo(ctx context.Context, key []byte, a *fillArgs) (dec *cachedDecision, coalesced bool, err error) {
-	return s.flights.Do(key, func(skey string) (*cachedDecision, error) {
+	dec, coalesced, err = s.flights.Do(ctx, key, func(skey string) (*cachedDecision, error) {
 		s.met.flightLead()
 		return s.fillDecision(ctx, skey, a)
 	})
+	if coalesced && err != nil && err == ctx.Err() {
+		err = errTimedOut
+	}
+	return dec, coalesced, err
 }
 
 // fillDecision is the coalescing leader's computation: evaluate, encode,

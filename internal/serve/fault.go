@@ -35,18 +35,18 @@ func faultInjectable(route string) bool {
 }
 
 // injectFault consumes the plan's next schedule slot for the route and
-// applies the decision. It returns the request (re-contexted when the
-// arrival is poisoned) and whether the request was fully handled here —
-// true only for an injected error, which has already been written as a
-// 503. The injected-fault headers make every perturbed response
-// self-describing:
+// applies the decision. It reports whether the arrival is poisoned (the
+// caller marks the request's context degraded) and whether the request
+// was fully handled here — true only for an injected error, which has
+// already been written as a 503. The injected-fault headers make every
+// perturbed response self-describing:
 //
 //	X-Fault-Injected: error|latency|poison   which fault fired
 //	X-Degraded: cache-bypass                 served without caches
-func (s *Server) injectFault(w http.ResponseWriter, r *http.Request, route string, span *obs.Span) (*http.Request, bool) {
+func (s *Server) injectFault(w http.ResponseWriter, route string, span *obs.Span) (degraded, handled bool) {
 	d := s.fault.Next(route)
 	if d.Kind == fault.None {
-		return r, false
+		return false, false
 	}
 	w.Header().Set("X-Fault-Injected", d.Kind.String())
 	span.SetAttr("fault", d.Kind.String())
@@ -55,15 +55,15 @@ func (s *Server) injectFault(w http.ResponseWriter, r *http.Request, route strin
 	switch d.Kind {
 	case fault.Error:
 		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "injected fault"})
-		return r, true
+		return false, true
 	case fault.Latency:
 		s.sleep(d.Delay)
 	case fault.Poison:
 		w.Header().Set("X-Degraded", "cache-bypass")
 		s.met.degradedResponse()
-		r = r.WithContext(withDegraded(r.Context()))
+		return true, false
 	}
-	return r, false
+	return false, false
 }
 
 // publishFaultEvent surfaces an injected fault on the watch stream when

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/apps"
 	"repro/internal/catalog"
@@ -309,7 +310,11 @@ func (s *Server) answerBatch(w http.ResponseWriter, r *http.Request, sc *scratch
 	lookup.End()
 
 	// Phase 3: fill the remaining evaluations, splitting them across the
-	// batch pool when enough remain to amortize the handoff.
+	// batch pool when enough remain to amortize the handoff. A wait on
+	// another request's fill that outlives the deadline cuts the batch:
+	// the fills this batch leads still complete and reach the cache, but
+	// the batch answers 503 whole rather than with a hole in it.
+	var cut atomic.Bool
 	if pending > 0 {
 		eval := obs.Child(ctx, "safeguards.evaluate")
 		fill := func(lo, hi int) {
@@ -328,6 +333,10 @@ func (s *Server) answerBatch(w http.ResponseWriter, r *http.Request, sc *scratch
 					continue
 				}
 				d, _, err := s.flightDo(ctx, sc.keys[i], &sl.args)
+				if err == errTimedOut {
+					cut.Store(true)
+					continue
+				}
 				if err != nil {
 					sl.errMsg = err.Error()
 					continue
@@ -344,6 +353,10 @@ func (s *Server) answerBatch(w http.ResponseWriter, r *http.Request, sc *scratch
 			fill(0, n)
 		}
 		eval.End()
+	}
+	if cut.Load() {
+		writeError(w, errTimedOut.code, "%v", errTimedOut)
+		return
 	}
 
 	// Assemble the response from the items' precomputed bytes,

@@ -35,11 +35,26 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 }
 
 // middleware wraps the endpoint mux with, outermost first: request-ID
-// assignment, tracing, observability, structured logging, a panic guard,
-// the in-flight semaphore, and the per-request timeout. The semaphore
-// queues excess requests rather than rejecting them — a request waits for
-// a slot until its client gives up — so MaxInFlight bounds concurrency,
-// not throughput.
+// assignment, the in-flight semaphore, tracing, flight-recorder capture,
+// observability, structured logging, a panic guard, fault injection, and
+// the per-request deadline. The semaphore queues excess requests rather
+// than rejecting them — a request waits for a slot until its client
+// gives up — so MaxInFlight bounds concurrency, not throughput. A slot is
+// held until the handler returns, so MaxInFlight bounds running handlers
+// too.
+//
+// The deadline is Config.RequestTimeout on the request context, started
+// after admission and fault injection. It bounds waits, not work: a
+// request coalesced onto another's computation stops waiting at the
+// deadline and is answered 503 {"error":"request timed out"}, while a
+// computation that overruns runs to completion, is answered when it
+// returns, and holds its slot until then. The handler runs on the
+// connection's goroutine; no goroutine or response buffer is added per
+// request.
+//
+// The middleware derives the request's context once — deadline, trace
+// root, capture state, and the degraded mark of a poisoned arrival — and
+// attaches it with a single WithContext.
 //
 // An inbound X-Request-Id header is echoed (and used as the trace ID) so
 // client-side and server-side traces correlate; otherwise the request is
@@ -47,11 +62,7 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // endpoints themselves (/metrics, /v1/metrics, /v1/traces, /v1/slo,
 // /v1/flightrec) pass through unrecorded, untraced, and uncaptured,
 // which is what keeps a scrape from perturbing the telemetry it reads.
-func (s *Server) middleware(h http.Handler) http.Handler {
-	if s.cfg.RequestTimeout > 0 {
-		h = http.TimeoutHandler(h, s.cfg.RequestTimeout, `{"error":"request timed out"}`)
-	}
-	inner := h
+func (s *Server) middleware(inner http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		seq := s.requests.Add(1)
 		id := r.Header.Get("X-Request-Id")
@@ -61,12 +72,12 @@ func (s *Server) middleware(h http.Handler) http.Handler {
 		w.Header().Set("X-Request-Id", id)
 
 		// /v1/watch is a long-lived event stream and takes a different
-		// path through the stack: no TimeoutHandler (its deadline and
-		// non-Flusher writer are incompatible with streaming), no
-		// in-flight semaphore slot (watchers would starve the query
-		// endpoints), no per-route latency instruments (a stream's
-		// "latency" is its lifetime). It has its own concurrency bound
-		// and its own metrics, registered only when a WAL is mounted.
+		// path through the stack: no deadline (a stream lives until its
+		// client leaves or the server drains), no in-flight semaphore
+		// slot (watchers would starve the query endpoints), no per-route
+		// latency instruments (a stream's "latency" is its lifetime). It
+		// has its own concurrency bound and its own metrics, registered
+		// only when a WAL is mounted.
 		if r.URL.Path == "/v1/watch" {
 			if r.Method != http.MethodGet {
 				writeError(w, http.StatusMethodNotAllowed, "watch supports GET only")
@@ -100,12 +111,11 @@ func (s *Server) middleware(h http.Handler) http.Handler {
 			<-s.sem
 		}()
 
+		ctx := r.Context()
 		var span *obs.Span
 		if observed && s.tracer != nil {
-			var ctx context.Context
-			ctx, span = s.tracer.StartRoot(r.Context(), id, r.Method+" "+route)
+			ctx, span = s.tracer.StartRoot(ctx, id, r.Method+" "+route)
 			span.SetAttr("target", r.URL.RequestURI())
-			r = r.WithContext(ctx)
 		}
 
 		// The flight recorder captures every observed request in full
@@ -114,7 +124,7 @@ func (s *Server) middleware(h http.Handler) http.Handler {
 		var cs *obs.CaptureState
 		if observed && s.flightrec != nil {
 			cs = obs.NewCaptureState(r.Method, route, id)
-			r = r.WithContext(obs.WithCaptureState(r.Context(), cs))
+			ctx = obs.WithCaptureState(ctx, cs)
 		}
 
 		sw := &statusWriter{ResponseWriter: w}
@@ -134,7 +144,7 @@ func (s *Server) middleware(h http.Handler) http.Handler {
 				span.SetAttr("panic", "true")
 				span.End()
 				if s.logger != nil {
-					s.logger.LogAttrs(r.Context(), slog.LevelError, "panic",
+					s.logger.LogAttrs(ctx, slog.LevelError, "panic",
 						slog.String("req", id), slog.String("route", route),
 						slog.String("method", r.Method), slog.Any("value", rec))
 				}
@@ -164,19 +174,24 @@ func (s *Server) middleware(h http.Handler) http.Handler {
 				if cache != "" {
 					attrs = append(attrs, slog.String("cache", cache))
 				}
-				s.logger.LogAttrs(r.Context(), slog.LevelInfo, "request", attrs...)
+				s.logger.LogAttrs(ctx, slog.LevelInfo, "request", attrs...)
 			}
 		}()
 		// Fault injection sits inside the full bookkeeping stack, so an
 		// injected 503 or delay is metered, traced, and logged exactly
 		// like an organic one.
 		if s.fault != nil && faultInjectable(route) {
-			var handled bool
-			if r, handled = s.injectFault(sw, r, route, span); handled {
+			degraded, handled := s.injectFault(sw, route, span)
+			if handled {
 				return
 			}
+			if degraded {
+				ctx = withDegraded(ctx)
+			}
 		}
-		inner.ServeHTTP(sw, r)
+		ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
+		defer cancel()
+		inner.ServeHTTP(sw, r.WithContext(ctx))
 	})
 }
 

@@ -30,7 +30,9 @@
 //
 // Everything is error-returning and clock-injected: the only wall-clock
 // read in the package is the documented default when no Config.Clock is
-// supplied, so tests pin time completely.
+// supplied, so tests pin time completely. (The request deadline's timer
+// also runs on the wall clock; it decides whether a wait is cut, never
+// what a decision says.)
 package serve
 
 import (
@@ -78,7 +80,7 @@ const maxBodyBytes = 1 << 20
 type Config struct {
 	Addr           string        // listen address for ListenAndServe
 	MaxInFlight    int           // concurrent requests admitted past the semaphore
-	RequestTimeout time.Duration // per-request deadline enforced by the middleware
+	RequestTimeout time.Duration // per-request deadline on waits (not on work in progress); see middleware
 	MaxBatch       int           // largest accepted /v1/license batch
 	BatchWorkers   int           // workers evaluating large batches in parallel; 1 forces inline
 	CacheSize      int           // capacity of each LRU cache

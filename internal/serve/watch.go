@@ -12,16 +12,17 @@ import (
 // and injected fault/degraded events — as Server-Sent Events. The
 // endpoint exists only when a decision log is mounted (404 otherwise).
 //
-// Watch streams deliberately sidestep the standard request machinery
-// (see middleware): they are long-lived, so holding an in-flight
-// semaphore slot would let a handful of watchers starve the query
-// endpoints, and http.TimeoutHandler's deadline (plus its non-Flusher
-// ResponseWriter) is incompatible with streaming. They get their own
-// concurrency bound (Config.MaxWatchers) and their own instruments
-// (watch_subscribers, watch_events_total, watch_events_dropped_total),
-// registered only when a WAL is mounted — which is also why this
-// endpoint is exempt from the idle-scrape byte-identity rule only in
-// WAL-mounted deployments, as documented in DESIGN.md.
+// Watch streams deliberately sidestep two pieces of the standard request
+// machinery (see middleware): they are long-lived, so holding an
+// in-flight semaphore slot would let a handful of watchers starve the
+// query endpoints, and the request deadline would cut a stream that is
+// meant to last until its client leaves or the server drains. They get
+// their own concurrency bound (Config.MaxWatchers) and their own
+// instruments (watch_subscribers, watch_events_total,
+// watch_events_dropped_total), registered only when a WAL is mounted —
+// which is also why this endpoint is exempt from the idle-scrape
+// byte-identity rule only in WAL-mounted deployments, as documented in
+// DESIGN.md.
 //
 // Wire format, one frame per event:
 //

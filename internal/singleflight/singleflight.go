@@ -6,6 +6,7 @@
 package singleflight
 
 import (
+	"context"
 	"errors"
 	"sync"
 )
@@ -44,7 +45,12 @@ type call[V any] struct {
 // leader copies key into a string, which it passes to fn; a waiter looks
 // its flight up without allocating. coalesced reports whether this
 // caller waited on another's call.
-func (g *Group[V]) Do(key []byte, fn func(key string) (V, error)) (v V, coalesced bool, err error) {
+//
+// ctx bounds the wait, not the work: a waiter whose ctx ends leaves the
+// flight and returns ctx.Err(), while the leader ignores ctx and runs fn
+// to completion for the waiters that remain (and for the cache behind
+// it).
+func (g *Group[V]) Do(ctx context.Context, key []byte, fn func(key string) (V, error)) (v V, coalesced bool, err error) {
 	g.mu.Lock()
 	if c, ok := g.calls[string(key)]; ok {
 		c.waiters++
@@ -52,8 +58,15 @@ func (g *Group[V]) Do(key []byte, fn func(key string) (V, error)) (v V, coalesce
 		if g.OnWait != nil {
 			g.OnWait()
 		}
-		<-c.done
-		return c.val, true, c.err
+		select {
+		case <-c.done:
+			return c.val, true, c.err
+		case <-ctx.Done():
+			g.mu.Lock()
+			c.waiters--
+			g.mu.Unlock()
+			return v, true, ctx.Err()
+		}
 	}
 	c := &call[V]{done: make(chan struct{})}
 	skey := string(key)
