@@ -43,12 +43,14 @@ go test -shuffle=on ./... > /dev/null
 echo "== parpool barrier/reduction under -race, repeated =="
 go test -race -count=2 ./internal/parpool/
 
-echo "== request deadline and ctx-aware singleflight under -race, repeated =="
+echo "== request deadline, ctx-aware singleflight and parallel warm start under -race, repeated =="
 # The waiter that leaves its flight at ctx.Done(), the coalesced herd,
-# the cut wait answered 503, and the overrunning fill that keeps its
-# semaphore slot, each run ten times under the race detector.
+# the cut wait answered 503, the overrunning fill that keeps its
+# semaphore slot, and the warm start that recomputes on a transient
+# worker pool (same cache as a full replay; a key judged by its newest
+# record), each run ten times under the race detector.
 go test -race -count=10 \
-	-run '^(TestWaiterLeavesAtContextEnd|TestCoalescedFillsAreByteIdentical|TestCoalescedWaitEndsAtDeadline|TestMaxInFlightBoundsOverrunningFills)$' \
+	-run '^(TestWaiterLeavesAtContextEnd|TestCoalescedFillsAreByteIdentical|TestCoalescedWaitEndsAtDeadline|TestMaxInFlightBoundsOverrunningFills|TestWarmStartMatchesFullReplay|TestWarmStartJudgesKeyByNewestRecord)$' \
 	./internal/singleflight/ ./internal/serve/
 
 echo "== bench smoke (one iteration of every benchmark) =="
@@ -152,6 +154,9 @@ echo "== wal fuzz smoke (record codec + segment replay) =="
 # ordinary `go test` runs above regardless.
 go test -run '^$' -fuzz 'FuzzWALRecord$' -fuzztime 3s ./internal/wal > /dev/null
 go test -run '^$' -fuzz 'FuzzSegmentReplay$' -fuzztime 3s ./internal/wal > /dev/null
+
+echo "== decision-key fuzz smoke (the scanner warm start parses keys with) =="
+go test -run '^$' -fuzz 'FuzzDecisionKeyRoundTrip$' -fuzztime 3s ./internal/serve > /dev/null
 
 echo "== wal: kill -9 mid-traffic, restart, byte-identical warm answers =="
 # The durability contract, end to end against the real binary: decide a
@@ -355,6 +360,7 @@ b3pid=""
 #   go test -fuzz=FuzzLicenseRequest -fuzztime=30s ./internal/serve
 #   go test -fuzz=FuzzParseLicensePostBody -fuzztime=30s ./internal/serve
 #   go test -fuzz=FuzzParseLicenseQuery -fuzztime=30s ./internal/serve
+#   go test -fuzz=FuzzDecisionKeyRoundTrip -fuzztime=30s ./internal/serve
 #   go test -fuzz=FuzzWALRecord -fuzztime=30s ./internal/wal
 #   go test -fuzz=FuzzSegmentReplay -fuzztime=30s ./internal/wal
 

@@ -34,10 +34,11 @@
 // caches and mark X-Degraded, and /v1/healthz reports the fault totals.
 //
 // -data-dir mounts the durable decision log (see README "Durability and
-// warm-start"): every license decision is committed to a checksummed
-// append-only segment, and on restart the daemon replays the log into
-// its decision cache so the first response to a previously-decided
-// request is byte-identical to the pre-restart one. -fsync picks the
+// warm-start"): every decision that fills the decision cache is
+// committed to a checksummed append-only segment, and on restart the
+// daemon recomputes the newest records of the keys its cache can hold
+// back into it, so the first response to a previously-decided request
+// is byte-identical to the pre-restart one. -fsync picks the
 // durability barrier (always, never, or every=N records), and
 // -snapshot-every bounds replay time by compacting the live decision set
 // into a snapshot every N commits. A mounted log also enables GET

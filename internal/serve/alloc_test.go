@@ -98,3 +98,19 @@ func BenchmarkLicenseHotPath(b *testing.B) {
 		s.handleLicenseGet(w, req)
 	}
 }
+
+// TestParseDecisionKeyZeroAllocs pins the key scanner allocation-free:
+// it runs once per replayed record at warm start and once per live entry
+// at every snapshot compaction.
+func TestParseDecisionKeyZeroAllocs(t *testing.T) {
+	key := "Cray C916\x1f1500\x1findia\x1fmodeling\x1f2000"
+	var a fillArgs
+	allocs := testing.AllocsPerRun(100, func() {
+		if !parseDecisionKey(key, &a) {
+			t.Fatalf("parseDecisionKey rejected %q", key)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("parseDecisionKey: %v allocs per key, want 0", allocs)
+	}
+}

@@ -127,11 +127,12 @@ func (s *Server) resolveLicense(req *LicenseRequest, a *fillArgs) *statusError {
 
 // resolveLicenseArgs canonicalizes one request into fill arguments:
 // system lookup or explicit CTP, the threshold in force at the request's
-// date, and the trimmed/lowercased destination. The error messages and
-// their order are part of the API's observable behavior and match the
-// original serial path exactly. It is the shared core of the server's
-// resolution and the exported ResolveDecisionKey hook the gateway keys
-// its routing on.
+// date, and the trimmed/lowercased destination. A destination or end use
+// holding the key separator byte is refused, checked last. The error
+// messages and their order are part of the API's observable behavior and
+// match the original serial path exactly. It is the shared core of the
+// server's resolution and the exported ResolveDecisionKey hook the
+// gateway keys its routing on.
 func resolveLicenseArgs(byName map[string]catalog.System, req *LicenseRequest, a *fillArgs) *statusError {
 	a.sysName = ""
 	switch {
@@ -165,6 +166,14 @@ func resolveLicenseArgs(byName map[string]catalog.System, req *LicenseRequest, a
 
 	a.dest = strings.ToLower(strings.TrimSpace(req.Destination))
 	a.endUse = strings.TrimSpace(req.EndUse)
+	// The decision key joins its fields with keySep, so a field holding
+	// that byte would let two different requests share one key.
+	if strings.IndexByte(a.dest, keySep) >= 0 {
+		return httpErr(http.StatusBadRequest, "destination contains the reserved byte 0x1f")
+	}
+	if strings.IndexByte(a.endUse, keySep) >= 0 {
+		return httpErr(http.StatusBadRequest, "endUse contains the reserved byte 0x1f")
+	}
 	return nil
 }
 

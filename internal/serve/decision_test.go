@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"encoding/json"
 	"net/http"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/safeguards"
@@ -72,5 +74,70 @@ func TestBuildDecisionMatchesDirectEvaluation(t *testing.T) {
 		if _, herr := buildDecision(&a); herr == nil || herr.code != http.StatusBadRequest {
 			t.Errorf("%+v: want a 400, got %v", a, herr)
 		}
+	}
+}
+
+// TestDecisionKeySeparatorIsRefused: the decision key joins its fields
+// with the 0x1f byte, so a destination or end use holding that byte
+// would let two different requests share one key, and the second would
+// be answered from the first one's cache entry. Both requests of such a
+// pair answer 400, through GET, POST and as batch items, nothing is
+// cached, and the gateway's key hook does not resolve them.
+func TestDecisionKeySeparatorIsRefused(t *testing.T) {
+	s := newTestServer(t)
+	h := s.Handler()
+	for _, target := range []string{
+		"/v1/license?ctp=21125&dest=china%1Fx&endUse=y",
+		"/v1/license?ctp=21125&dest=china&endUse=x%1Fy",
+	} {
+		rec := do(t, h, "GET", target, "")
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "0x1f") {
+			t.Fatalf("GET %s: %d %s, want 400 naming the 0x1f byte", target, rec.Code, rec.Body)
+		}
+	}
+	pair := []LicenseRequest{
+		{CTP: 21125, Destination: "china\x1fx", EndUse: "y"},
+		{CTP: 21125, Destination: "china", EndUse: "x\x1fy"},
+	}
+	for _, req := range pair {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec := do(t, h, "POST", "/v1/license", string(body)); rec.Code != http.StatusBadRequest {
+			t.Fatalf("POST %s: %d %s, want 400", body, rec.Code, rec.Body)
+		}
+		if _, ok := ResolveDecisionKey(nil, &req); ok {
+			t.Fatalf("ResolveDecisionKey resolved %+v", req)
+		}
+	}
+
+	batch, err := json.Marshal(struct {
+		Requests []LicenseRequest `json:"requests"`
+	}{append(pair, LicenseRequest{CTP: 21125, Destination: "china", EndUse: "x y"})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := do(t, h, "POST", "/v1/license", string(batch))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("batch: %d %s", rec.Code, rec.Body)
+	}
+	var br BatchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &br); err != nil {
+		t.Fatalf("batch body: %v", err)
+	}
+	if len(br.Decisions) != 3 {
+		t.Fatalf("batch answered %d items, want 3", len(br.Decisions))
+	}
+	for i, item := range br.Decisions[:2] {
+		if item.Decision != nil || !strings.Contains(item.Error, "0x1f") {
+			t.Fatalf("batch item %d: %+v, want an error naming the 0x1f byte", i, item)
+		}
+	}
+	if br.Decisions[2].Decision == nil {
+		t.Fatalf("batch item 2: %+v, want a decision", br.Decisions[2])
+	}
+	if n := s.decisions.Len(); n != 1 {
+		t.Fatalf("decision cache holds %d entries, want only the valid batch item", n)
 	}
 }

@@ -2,11 +2,15 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/units"
 )
 
 // FuzzLicenseRequest throws arbitrary bodies at POST /v1/license through
@@ -56,6 +60,83 @@ func FuzzLicenseRequest(f *testing.F) {
 			if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Error == "" {
 				t.Fatalf("error response for %q lacks an error field: %s", body, rec.Body)
 			}
+		}
+	})
+}
+
+// splitDecisionKey is the strings.Split parse parseDecisionKey replaced,
+// kept as the fuzz oracle for the scanner.
+func splitDecisionKey(key string, a *fillArgs) bool {
+	parts := strings.Split(key, string(rune(keySep)))
+	if len(parts) != 5 {
+		return false
+	}
+	rated, err := strconv.ParseFloat(parts[1], 64)
+	if err != nil {
+		return false
+	}
+	th, err := strconv.ParseFloat(parts[4], 64)
+	if err != nil {
+		return false
+	}
+	*a = fillArgs{sysName: parts[0], rated: units.Mtops(rated), dest: parts[2], endUse: parts[3], th: units.Mtops(th)}
+	return true
+}
+
+// sameArgs compares fill arguments with the floats bit for bit. Any NaN
+// matches any NaN: the key renders every NaN as "NaN", so a payload
+// cannot survive it.
+func sameArgs(x, y fillArgs) bool {
+	sameFloat := func(p, q units.Mtops) bool {
+		if math.IsNaN(float64(p)) || math.IsNaN(float64(q)) {
+			return math.IsNaN(float64(p)) && math.IsNaN(float64(q))
+		}
+		return math.Float64bits(float64(p)) == math.Float64bits(float64(q))
+	}
+	return x.sysName == y.sysName && x.dest == y.dest && x.endUse == y.endUse &&
+		sameFloat(x.rated, y.rated) && sameFloat(x.th, y.th)
+}
+
+// FuzzDecisionKeyRoundTrip pins parseDecisionKey to appendDecisionKey.
+// When no string field holds the separator byte, parsing a rendered key
+// gives back exactly the inputs; when one does, the key has more than
+// five fields and parsing fails. Either way the allocation-free scanner
+// agrees with the strings.Split parse it replaced.
+func FuzzDecisionKeyRoundTrip(f *testing.F) {
+	s, err := New(Config{Clock: testClock})
+	if err != nil {
+		f.Fatalf("New: %v", err)
+	}
+	for _, req := range []LicenseRequest{
+		{CTP: 21125, Destination: "India", EndUse: "modeling"},
+		{CTP: 1500, Destination: "poland", Threshold: 7000},
+		{System: "Cray C916", Destination: "russia", EndUse: "oil"},
+	} {
+		var a fillArgs
+		if herr := s.resolveLicense(&req, &a); herr != nil {
+			f.Fatalf("resolve %+v: %v", req, herr)
+		}
+		f.Add(a.sysName, a.dest, a.endUse, float64(a.rated), float64(a.th))
+	}
+	f.Add("", "china\x1fx", "y", 21125.0, 2000.0)
+	f.Add("", "china", "x\x1fy", 21125.0, 2000.0)
+
+	f.Fuzz(func(t *testing.T, sys, dest, endUse string, rated, th float64) {
+		in := fillArgs{sysName: sys, dest: dest, endUse: endUse, rated: units.Mtops(rated), th: units.Mtops(th)}
+		key := string(appendDecisionKey(nil, &in))
+		var got, ref fillArgs
+		ok := parseDecisionKey(key, &got)
+		if refOK := splitDecisionKey(key, &ref); ok != refOK || ok && !sameArgs(got, ref) {
+			t.Fatalf("key %q: scanner (%v, %+v) disagrees with strings.Split (%v, %+v)", key, ok, got, refOK, ref)
+		}
+		if strings.IndexByte(sys+dest+endUse, keySep) >= 0 {
+			if ok {
+				t.Fatalf("key %q has a separator in a field but parsed as %+v", key, got)
+			}
+			return
+		}
+		if !ok || !sameArgs(got, in) {
+			t.Fatalf("key %q: parsed (%v, %+v), want %+v", key, ok, got, in)
 		}
 	})
 }

@@ -82,7 +82,7 @@ type Config struct {
 	MaxInFlight    int           // concurrent requests admitted past the semaphore
 	RequestTimeout time.Duration // per-request deadline on waits (not on work in progress); see middleware
 	MaxBatch       int           // largest accepted /v1/license batch
-	BatchWorkers   int           // workers evaluating large batches in parallel; 1 forces inline
+	BatchWorkers   int           // workers evaluating large batches and the WAL warm start in parallel; 1 forces inline
 	CacheSize      int           // capacity of each LRU cache
 	DrainTimeout   time.Duration // how long Shutdown waits for in-flight requests
 	TraceCapacity  int           // completed traces kept for /v1/traces; < 0 disables tracing
@@ -111,10 +111,11 @@ type Config struct {
 	Sleep func(time.Duration)
 
 	// WAL, when non-nil, mounts the durable decision log: every cached
-	// license decision is written through to it, its recovery stream is
-	// replayed into the decision cache at New (warm start), and the
-	// /v1/watch endpoint streams its commit events. The caller owns the
-	// log's lifecycle (Open before New, Close after Serve returns).
+	// license decision is written through to it, the newest records of
+	// the keys the decision cache can hold are recomputed into it at New
+	// (warm start), and the /v1/watch endpoint streams its commit events.
+	// The caller owns the log's lifecycle (Open before New, Close after
+	// Serve returns).
 	WAL *wal.Log
 
 	// SnapshotEvery triggers snapshot compaction after that many logged

@@ -312,7 +312,10 @@ type HealthResponse struct {
 
 // WALHealth is the decision log's accounting as /v1/healthz reports it,
 // present only while a log is mounted: the log's own operation counters,
-// the warm-start replay outcome, and the watch-stream state.
+// the warm-start replay outcome, and the watch-stream state. Replayed
+// counts the entries warm start admitted, at most the decision cache's
+// capacity; Mismatches counts the records it examined, each key's
+// newest among the keys the cache can hold, that failed to verify.
 type WALHealth struct {
 	Appends       uint64 `json:"appends"`
 	Fsyncs        uint64 `json:"fsyncs"`

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"repro/internal/obs"
+	"repro/internal/parpool"
 	"repro/internal/units"
 	"repro/internal/wal"
 )
@@ -21,12 +22,12 @@ import (
 // The log stores no response bodies — only the canonical decision key
 // (which encodes every input the decision is a pure function of), the
 // regime applied, and the FNV-1a-64 digest of the exact body served.
-// Replay recomputes each decision from its key and admits it to the
-// cache only when the recomputed body's digest matches the logged one:
-// a decision that cannot be reproduced bit-for-bit (a corrupted key, a
-// code change that altered rendering) is counted and logged, never
-// served. Degraded (cache-bypassed) responses are never logged, because
-// they are never committed to the cache.
+// Replay recomputes the decisions the cache will hold from their keys
+// and admits each only when the recomputed body's digest matches the
+// logged one: a decision that cannot be reproduced bit-for-bit (a
+// corrupted key, a code change that altered rendering) is counted and
+// logged, never served. Degraded (cache-bypassed) responses are never
+// logged, because they are never committed to the cache.
 
 // bodyHash digests a rendered response body the way the WAL records it.
 func bodyHash(body []byte) uint64 {
@@ -36,68 +37,104 @@ func bodyHash(body []byte) uint64 {
 }
 
 // parseDecisionKey inverts appendDecisionKey: it splits a canonical
-// cache key back into fill arguments. A key whose shape does not parse
-// returns false; the caller counts it as unreplayable. (User-supplied
-// fields could in principle contain the separator byte — such a key
-// fails the shape check or the hash check, so it degrades to a cold
-// cache entry rather than a wrong one.)
+// cache key back into fill arguments without allocating, since the
+// string fields are substrings of key. A key without exactly five
+// fields, or whose CTP or threshold field is not a float, returns false;
+// the caller counts it as unreplayable. resolveLicenseArgs rejects a
+// destination or end use holding the separator byte, so every key the
+// server builds has exactly five fields and parses back to its inputs.
 func parseDecisionKey(key string, a *fillArgs) bool {
-	parts := strings.Split(key, string(rune(keySep)))
-	if len(parts) != 5 {
+	var f [5]string
+	rest := key
+	for i := range 4 {
+		j := strings.IndexByte(rest, keySep)
+		if j < 0 {
+			return false
+		}
+		f[i], rest = rest[:j], rest[j+1:]
+	}
+	if strings.IndexByte(rest, keySep) >= 0 {
 		return false
 	}
-	rated, err := strconv.ParseFloat(parts[1], 64)
+	f[4] = rest
+	rated, err := strconv.ParseFloat(f[1], 64)
 	if err != nil {
 		return false
 	}
-	th, err := strconv.ParseFloat(parts[4], 64)
+	th, err := strconv.ParseFloat(f[4], 64)
 	if err != nil {
 		return false
 	}
-	a.sysName = parts[0]
+	a.sysName = f[0]
 	a.rated = units.Mtops(rated)
-	a.dest = parts[2]
-	a.endUse = parts[3]
+	a.dest = f[2]
+	a.endUse = f[3]
 	a.th = units.Mtops(th)
 	return true
 }
 
+// replaySlot is one key's newest decision record in the warm-start
+// window, with the outcome of recomputing it: the verified entry, or the
+// reason the record was skipped.
+type replaySlot struct {
+	rec    *wal.Record
+	d      *cachedDecision
+	reason string
+}
+
 // warmStart replays the mounted log's recovery stream into the decision
-// cache. Records replay in log order, so the cache converges to
-// last-write-wins exactly as it would have under the original request
-// stream. Returns the number of admitted entries.
+// cache, recomputing only what a full log-order replay would leave
+// cached. It walks the records newest-first and keeps each key's newest
+// decision record until the window holds as many keys as the cache
+// does; a full replay would overwrite the older records and evict the
+// older keys. The window is recomputed and hash-checked on a transient
+// pool of Config.BatchWorkers workers, each writing only its own slots.
+// The pool is closed, which joins every worker, before the verified
+// entries are Put oldest-first on this goroutine, so the cache ends
+// with the keys, bodies and recency order of a full replay.
+//
+// A key is judged by its newest record alone: when that record fails to
+// verify, the key is counted as a mismatch and left out, even if an
+// older record of it would verify. Returns the number of admitted
+// entries.
 func (s *Server) warmStart() int {
 	rec := s.wal.Recovery()
-	admitted := 0
-	var a fillArgs
-	for i := range rec.Records {
+	capacity := s.decisions.capacity
+	window := make([]replaySlot, 0, min(capacity, len(rec.Records)))
+	seen := make(map[string]struct{}, cap(window))
+	for i := len(rec.Records) - 1; i >= 0 && len(window) < capacity; i-- {
 		r := &rec.Records[i]
 		if r.Kind != wal.KindDecision {
 			continue
 		}
-		if !parseDecisionKey(r.Key, &a) {
-			s.walMismatches.Add(1)
-			s.logWALSkip(r.Key, "unparseable key")
+		if _, dup := seen[r.Key]; dup {
 			continue
 		}
-		resp, herr := buildDecision(&a)
-		if herr != nil {
+		seen[r.Key] = struct{}{}
+		window = append(window, replaySlot{rec: r})
+	}
+	// As on the batch path, a window under batchParallelMin keys costs
+	// less to verify inline than to hand to a pool; so does one worker.
+	var p *parpool.Pool
+	if s.cfg.BatchWorkers > 1 && len(window) >= batchParallelMin {
+		p = parpool.New(s.cfg.BatchWorkers)
+	}
+	p.Run(len(window), func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			verifyReplay(&window[i])
+		}
+	})
+	p.Close()
+
+	admitted := 0
+	for i := len(window) - 1; i >= 0; i-- {
+		sl := &window[i]
+		if sl.d == nil {
 			s.walMismatches.Add(1)
-			s.logWALSkip(r.Key, "decision no longer evaluates")
+			s.logWALSkip(sl.rec.Key, sl.reason)
 			continue
 		}
-		d, err := encodeCached(resp)
-		if err != nil {
-			s.walMismatches.Add(1)
-			s.logWALSkip(r.Key, "encode failed")
-			continue
-		}
-		if d.hash != r.Hash {
-			s.walMismatches.Add(1)
-			s.logWALSkip(r.Key, "body hash mismatch")
-			continue
-		}
-		s.decisions.Put(r.Key, d)
+		s.decisions.Put(sl.rec.Key, sl.d)
 		admitted++
 	}
 	s.walReplayed.Store(uint64(admitted))
@@ -111,6 +148,31 @@ func (s *Server) warmStart() int {
 			slog.Int("droppedSnapshots", rec.DroppedSnapshots))
 	}
 	return admitted
+}
+
+// verifyReplay recomputes one logged decision from its key and keeps it
+// only if the recomputed body hashes to the logged digest.
+func verifyReplay(sl *replaySlot) {
+	var a fillArgs
+	if !parseDecisionKey(sl.rec.Key, &a) {
+		sl.reason = "unparseable key"
+		return
+	}
+	resp, herr := buildDecision(&a)
+	if herr != nil {
+		sl.reason = "decision no longer evaluates"
+		return
+	}
+	d, err := encodeCached(resp)
+	if err != nil {
+		sl.reason = "encode failed"
+		return
+	}
+	if d.hash != sl.rec.Hash {
+		sl.reason = "body hash mismatch"
+		return
+	}
+	sl.d = d
 }
 
 // logWALSkip records one unreplayable log record.

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -85,6 +87,224 @@ func TestWALRestartByteIdentity(t *testing.T) {
 	}
 	if s2.walMismatches.Load() != 0 {
 		t.Fatalf("replay mismatches = %d, want 0", s2.walMismatches.Load())
+	}
+}
+
+// warmTarget is the i-th distinct license query of the warm-start tests,
+// spread over four destinations and two regimes. The CTP falls as i
+// rises, so a snapshot, which sorts its records by key, lists the keys
+// of i from 36 to 99 newest-requested first.
+func warmTarget(i int) string {
+	dests := []string{"india", "poland", "france", "china"}
+	target := fmt.Sprintf("/v1/license?ctp=%d&dest=%s&endUse=warm%d", 5000-37*i, dests[i%len(dests)], i)
+	if i%3 == 0 {
+		target += "&threshold=7000"
+	}
+	return target
+}
+
+// writeWarmStartLog writes the log the warm-start tests restart over,
+// through a server with a 64-entry cache: 100 keys, a snapshot of the
+// 64 the cache then holds (i = 36..99), and a 35-record tail of 20 new
+// keys, 10 re-commits of snapshot keys evicted since (i = 40..49), and
+// 5 re-commits of keys the snapshot compacted away. The log holds 89
+// distinct keys, more than the cache. A full replay keeps the tail's 35
+// and the snapshot's last 29 others (i = 36..39 and 50..74), so the
+// newest-first walk must step over the re-committed keys' older
+// snapshot records.
+func writeWarmStartLog(t *testing.T, dir string) {
+	t.Helper()
+	s, l := newWALServer(t, dir, func(cfg *Config) {
+		cfg.CacheSize = 64
+		cfg.SnapshotEvery = -1
+	})
+	get := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			rec := do(t, s.Handler(), "GET", warmTarget(i), "")
+			if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "miss" {
+				t.Fatalf("%s: %d X-Cache=%q, want a committed miss", warmTarget(i), rec.Code, rec.Header().Get("X-Cache"))
+			}
+		}
+	}
+	get(0, 100)
+	s.maybeSnapshot()
+	get(100, 120)
+	get(40, 50)
+	get(5, 10)
+	if err := l.Close(); err != nil {
+		t.Fatalf("close log: %v", err)
+	}
+}
+
+// fullReplay is the warm start's reference: every decision record
+// replayed in log order into a cache of the given capacity and admitted
+// on a hash match, the loop warm start ran before it recomputed only
+// what the cache keeps.
+func fullReplay(t *testing.T, rec *wal.Recovery, capacity int) *decisionLRU {
+	t.Helper()
+	ref := newDecisionLRU(capacity)
+	for _, r := range rec.Records {
+		var a fillArgs
+		if r.Kind != wal.KindDecision || !parseDecisionKey(r.Key, &a) {
+			continue
+		}
+		resp, herr := buildDecision(&a)
+		if herr != nil {
+			continue
+		}
+		d, err := encodeCached(resp)
+		if err != nil {
+			t.Fatalf("encode %q: %v", r.Key, err)
+		}
+		if d.hash == r.Hash {
+			ref.Put(r.Key, d)
+		}
+	}
+	return ref
+}
+
+// cacheEntry is one decision-cache entry as the warm-start tests compare
+// it.
+type cacheEntry struct {
+	key  string
+	body string
+	hash uint64
+}
+
+// cacheEntries lists a decision cache, most recently used first.
+func cacheEntries(l *decisionLRU) []cacheEntry {
+	var out []cacheEntry
+	l.forEach(func(key string, d *cachedDecision) {
+		out = append(out, cacheEntry{key: key, body: string(d.body), hash: d.hash})
+	})
+	return out
+}
+
+// parkedPoolWorkers counts the parpool worker goroutines parked waiting
+// for work. A pool that is never closed leaves its workers parked; Close
+// joins every worker on its way out, so a closed pool leaves none.
+func parkedPoolWorkers() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	parked := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "[sync.Cond.Wait") && strings.Contains(g, "parpool.(*Pool).work(") {
+			parked++
+		}
+	}
+	return parked
+}
+
+// TestWarmStartMatchesFullReplay: warm start recomputes only the newest
+// record of the keys the cache will keep, on BatchWorkers workers, yet
+// must leave the cache exactly as a full log-order replay does — the
+// same keys in the same recency order, with the same bodies and hashes
+// — and must have closed its pool when New returns. A negative
+// CacheSize, which New accepts and the LRU raises to one entry, keeps
+// the newest key.
+func TestWarmStartMatchesFullReplay(t *testing.T) {
+	dir := t.TempDir()
+	writeWarmStartLog(t, dir)
+	for _, tc := range []struct{ cacheSize, workers, kept int }{
+		{64, 1, 64}, {64, 2, 64}, {64, 8, 64}, {-1, 2, 1},
+	} {
+		before := parkedPoolWorkers()
+		s, l := newWALServer(t, dir, func(cfg *Config) {
+			cfg.CacheSize = tc.cacheSize
+			cfg.BatchWorkers = tc.workers
+		})
+		if after := parkedPoolWorkers(); after != before {
+			t.Errorf("%+v: %d parpool workers parked after New, %d before", tc, after, before)
+		}
+		if l.Recovery().SnapshotSeq == 0 {
+			t.Fatal("restart did not recover from a snapshot")
+		}
+		want := cacheEntries(fullReplay(t, l.Recovery(), tc.cacheSize))
+		if len(want) != tc.kept {
+			t.Fatalf("%+v: full replay kept %d entries, want %d", tc, len(want), tc.kept)
+		}
+		got := cacheEntries(s.decisions)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%+v: warm-started cache differs from a full replay", tc)
+			for i := 0; i < len(got) && i < len(want); i++ {
+				if got[i] != want[i] {
+					t.Fatalf("first difference at recency %d: got %q, want %q", i, got[i].key, want[i].key)
+				}
+			}
+			t.Fatalf("got %d entries, want %d", len(got), len(want))
+		}
+		if r := s.walReplayed.Load(); r != uint64(tc.kept) {
+			t.Errorf("%+v: replayed %d, want the cache size %d", tc, r, tc.kept)
+		}
+		if m := s.walMismatches.Load(); m != 0 {
+			t.Errorf("%+v: %d replay mismatches, want 0", tc, m)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatalf("close log: %v", err)
+		}
+	}
+}
+
+// TestWarmStartJudgesKeyByNewestRecord: a key whose newest log record
+// fails the hash check is counted and left out of the cache, even though
+// an older record of it would verify, and its first request is computed
+// cold.
+func TestWarmStartJudgesKeyByNewestRecord(t *testing.T) {
+	dir := t.TempDir()
+	s1, l1 := newWALServer(t, dir, nil)
+	for _, target := range walTestTargets {
+		if rec := do(t, s1.Handler(), "GET", target, ""); rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d", target, rec.Code)
+		}
+	}
+	var a fillArgs
+	if herr := s1.resolveLicense(&LicenseRequest{CTP: 21125, Destination: "india", EndUse: "modeling"}, &a); herr != nil {
+		t.Fatal(herr)
+	}
+	key := string(appendDecisionKey(nil, &a))
+	d, ok := s1.decisions.Get(key)
+	if !ok {
+		t.Fatalf("%s is not cached before the restart", walTestTargets[0])
+	}
+	if err := l1.Append(wal.Record{Kind: wal.KindDecision, Key: key, Regime: float64(a.th), Hash: d.hash ^ 1}); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	if err := l1.Close(); err != nil {
+		t.Fatalf("close log: %v", err)
+	}
+
+	s2, l2 := newWALServer(t, dir, nil)
+	defer func() { _ = l2.Close() }()
+	if m := s2.walMismatches.Load(); m != 1 {
+		t.Fatalf("replay mismatches = %d, want 1", m)
+	}
+	if r := s2.walReplayed.Load(); r != uint64(len(walTestTargets)-1) {
+		t.Fatalf("replayed %d, want %d", r, len(walTestTargets)-1)
+	}
+	for _, e := range cacheEntries(s2.decisions) {
+		if e.key == key {
+			t.Fatalf("key %q was admitted though its newest record fails the hash check", key)
+		}
+	}
+	cold := do(t, newTestServer(t).Handler(), "GET", walTestTargets[0], "")
+	rec := do(t, s2.Handler(), "GET", walTestTargets[0], "")
+	if got := rec.Header().Get("X-Cache"); got != "miss" {
+		t.Fatalf("first ask after restart: X-Cache=%q, want miss", got)
+	}
+	if rec.Code != http.StatusOK || rec.Body.String() != cold.Body.String() {
+		t.Fatalf("first ask after restart: %d %q, want the cold body %q", rec.Code, rec.Body, cold.Body)
+	}
+	for _, target := range walTestTargets[1:] {
+		if got := do(t, s2.Handler(), "GET", target, "").Header().Get("X-Cache"); got != "hit" {
+			t.Fatalf("%s after restart: X-Cache=%q, want hit", target, got)
+		}
 	}
 }
 
