@@ -43,15 +43,18 @@ go test -shuffle=on ./... > /dev/null
 echo "== parpool barrier/reduction under -race, repeated =="
 go test -race -count=2 ./internal/parpool/
 
-echo "== request deadline, ctx-aware singleflight and parallel warm start under -race, repeated =="
+echo "== request deadline, ctx-aware singleflight, parallel warm start and gateway fetch goroutines under -race, repeated =="
 # The waiter that leaves its flight at ctx.Done(), the coalesced herd,
 # the cut wait answered 503, the overrunning fill that keeps its
-# semaphore slot, and the warm start that recomputes on a transient
-# worker pool (same cache as a full replay; a key judged by its newest
-# record), each run ten times under the race detector.
+# semaphore slot, the warm start that recomputes on a transient worker
+# pool (same cache as a full replay; a key judged by its newest record),
+# and the gateway's parked fetch goroutines (one reused across
+# sequential GETs; hedges, herds and concurrent cold batches run on
+# reused goroutines, and Close releases them), each run ten times under
+# the race detector.
 go test -race -count=10 \
-	-run '^(TestWaiterLeavesAtContextEnd|TestCoalescedFillsAreByteIdentical|TestCoalescedWaitEndsAtDeadline|TestMaxInFlightBoundsOverrunningFills|TestWarmStartMatchesFullReplay|TestWarmStartJudgesKeyByNewestRecord)$' \
-	./internal/singleflight/ ./internal/serve/
+	-run '^(TestWaiterLeavesAtContextEnd|TestCoalescedFillsAreByteIdentical|TestCoalescedWaitEndsAtDeadline|TestMaxInFlightBoundsOverrunningFills|TestWarmStartMatchesFullReplay|TestWarmStartJudgesKeyByNewestRecord|TestLauncherReusesOneParkedFetcher|TestLauncherHedgesOnReusedFetchers|TestGatewayHedgeByteIdentity|TestGatewayHerdSingleFill|TestGatewayConcurrentColdBatches)$' \
+	./internal/singleflight/ ./internal/serve/ ./internal/gateway/
 
 echo "== bench smoke (one iteration of every benchmark) =="
 go test -run '^$' -bench . -benchtime=1x ./... > /dev/null
@@ -157,6 +160,9 @@ go test -run '^$' -fuzz 'FuzzSegmentReplay$' -fuzztime 3s ./internal/wal > /dev/
 
 echo "== decision-key fuzz smoke (the scanner warm start parses keys with) =="
 go test -run '^$' -fuzz 'FuzzDecisionKeyRoundTrip$' -fuzztime 3s ./internal/serve > /dev/null
+
+echo "== batch-split fuzz smoke (the gateway's splitter, against encoding/json) =="
+go test -run '^$' -fuzz 'FuzzSplitBatchItems$' -fuzztime 3s ./internal/gateway > /dev/null
 
 echo "== wal: kill -9 mid-traffic, restart, byte-identical warm answers =="
 # The durability contract, end to end against the real binary: decide a
@@ -361,6 +367,7 @@ b3pid=""
 #   go test -fuzz=FuzzParseLicensePostBody -fuzztime=30s ./internal/serve
 #   go test -fuzz=FuzzParseLicenseQuery -fuzztime=30s ./internal/serve
 #   go test -fuzz=FuzzDecisionKeyRoundTrip -fuzztime=30s ./internal/serve
+#   go test -fuzz=FuzzSplitBatchItems -fuzztime=30s ./internal/gateway
 #   go test -fuzz=FuzzWALRecord -fuzztime=30s ./internal/wal
 #   go test -fuzz=FuzzSegmentReplay -fuzztime=30s ./internal/wal
 

@@ -78,14 +78,15 @@ func (g *Gateway) scatterGather(w http.ResponseWriter, r *http.Request, reqs []s
 		return
 	}
 
-	// Each shard is one backend exchange, so each gets its own goroutine.
+	// Each shard is one backend exchange, so each runs on a fetch
+	// goroutine of its own.
 	var wg sync.WaitGroup
 	for _, sh := range order {
 		wg.Add(1)
-		go func(sh *batchShard) {
+		g.launch(func() {
 			defer wg.Done()
 			g.fetchShard(r.Context(), sh, r.Header)
-		}(sh)
+		})
 	}
 	wg.Wait()
 
@@ -157,19 +158,21 @@ func encodeBatch(reqs []serve.LicenseRequest) ([]byte, error) {
 const batchBodyPrefix = `{"decisions":[`
 
 // splitBatchItems splits a backend batch response into its per-item
-// JSON values, verbatim. It is a framing scanner, not a JSON parser: it
-// tracks only string/escape state and bracket depth, so each item's
-// bytes pass through untouched.
+// JSON values, verbatim. It refuses any body encoding/json refuses, so
+// an empty or malformed item is never spliced into a client's batch;
+// over a valid body, a framing scanner that tracks only string/escape
+// state and bracket depth finds the items, and each item's bytes pass
+// through untouched. FuzzSplitBatchItems holds it to encoding/json.
 func splitBatchItems(body []byte) ([][]byte, bool) {
 	if !bytes.HasPrefix(body, []byte(batchBodyPrefix)) {
 		return nil, false
 	}
 	rest := bytes.TrimSuffix(body[len(batchBodyPrefix):], []byte("\n"))
-	if !bytes.HasSuffix(rest, []byte("]}")) {
+	if !bytes.HasSuffix(rest, []byte("]}")) || !json.Valid(body) {
 		return nil, false
 	}
 	rest = rest[:len(rest)-2]
-	if len(rest) == 0 {
+	if len(bytes.TrimLeft(rest, " \t\r\n")) == 0 {
 		return nil, true
 	}
 	var items [][]byte

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -13,9 +14,10 @@ import (
 // canonical framing reproduces the original bytes exactly.
 func TestSplitBatchItemsRoundTrip(t *testing.T) {
 	cases := []struct {
-		name string
-		body string
-		want []string
+		name   string
+		body   string
+		want   []string
+		rejoin string // the canonical rejoined body, when not body itself
 	}{
 		{
 			name: "decisions and errors",
@@ -47,6 +49,12 @@ func TestSplitBatchItemsRoundTrip(t *testing.T) {
 			body: `{"decisions":[{"decision":{"a":1}},{"decision":{"b":2}}]}`,
 			want: []string{`{"decision":{"a":1}}`, `{"decision":{"b":2}}`},
 		},
+		{
+			name:   "whitespace-only batch",
+			body:   "{\"decisions\":[ \n\t]}\n",
+			want:   nil,
+			rejoin: `{"decisions":[]}` + "\n",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -68,7 +76,9 @@ func TestSplitBatchItemsRoundTrip(t *testing.T) {
 			rejoined = append(rejoined, bytes.Join(items, []byte(","))...)
 			rejoined = append(rejoined, ']', '}', '\n')
 			wantBody := tc.body
-			if !bytes.HasSuffix([]byte(wantBody), []byte("\n")) {
+			if tc.rejoin != "" {
+				wantBody = tc.rejoin
+			} else if !bytes.HasSuffix([]byte(wantBody), []byte("\n")) {
 				wantBody += "\n"
 			}
 			if string(rejoined) != wantBody {
@@ -79,8 +89,9 @@ func TestSplitBatchItemsRoundTrip(t *testing.T) {
 }
 
 // TestSplitBatchItemsRejects pins the scanner's strictness: anything
-// that is not exactly the backends' batch framing fails the split
-// (the gateway then refuses to reassemble rather than corrupting).
+// that is not exactly the backends' batch framing, or that encoding/json
+// refuses, fails the split (the gateway then refuses to reassemble
+// rather than corrupting).
 func TestSplitBatchItemsRejects(t *testing.T) {
 	bad := []string{
 		"",
@@ -93,6 +104,14 @@ func TestSplitBatchItemsRejects(t *testing.T) {
 		`{"decisions":[{"s":"unterminated]}` + "\n",           // string never closes
 		`{"DECISIONS":[{"a":1}]}` + "\n",                      // wrong field case
 		`{"decisions":[{"a":1}],"requests":[{"b":2}]}` + "\n", // second field after the array
+		`{"decisions":[,]}` + "\n",                            // two empty items
+		`{"decisions":[{"a":1},]}` + "\n",                     // trailing comma: an empty last item
+		`{"decisions":[,{"a":1}]}` + "\n",                     // leading comma: an empty first item
+		`{"decisions":[{"a":1},,{"b":2}]}` + "\n",             // an empty middle item
+		`{"decisions":[decision]}` + "\n",                     // a bare word, not a value
+		`{"decisions":[{"a" 1}]}` + "\n",                      // member without a colon
+		"{\"decisions\":[{\"s\":\"a\x01b\"}]}\n",              // raw control byte in a string
+		`{"decisions":[{"s":"\x"}]}` + "\n",                   // invalid escape
 	}
 	for _, body := range bad {
 		if items, ok := splitBatchItems([]byte(body)); ok {
@@ -121,4 +140,39 @@ func TestEncodeBatchRoundTrips(t *testing.T) {
 	if !reflect.DeepEqual(batch, reqs) {
 		t.Fatalf("round trip changed the batch:\n got %+v\nwant %+v", batch, reqs)
 	}
+}
+
+// FuzzSplitBatchItems holds the scanner to encoding/json: a body it
+// accepts must decode as a batch with as many items, each equal to the
+// decoder's raw value once its surrounding whitespace is trimmed. No
+// input may panic it.
+func FuzzSplitBatchItems(f *testing.F) {
+	for _, body := range []string{
+		`{"decisions":[{"decision":{"license":true,"ctp":21125}},{"error":"unknown system"}]}` + "\n",
+		`{"decisions":[{"error":"no, really: }]{[\" fine"},{"decision":[1,[2,3],{"s":"a,b"}]}]}` + "\n",
+		`{"decisions":[{"error":"path c:\\"}]}`,
+		`{"decisions":[]}` + "\n",
+		`{"decisions":[ 1 , "two" ,null]}`,
+		`{"decisions":[{"a":1}],"requests":[{"b":2}]}` + "\n",
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		items, ok := splitBatchItems(body)
+		if !ok {
+			return
+		}
+		var oracle struct{ Decisions []json.RawMessage }
+		if err := json.Unmarshal(body, &oracle); err != nil {
+			t.Fatalf("split accepted %q, which encoding/json refuses: %v", body, err)
+		}
+		if len(items) != len(oracle.Decisions) {
+			t.Fatalf("split %q into %d items, encoding/json finds %d", body, len(items), len(oracle.Decisions))
+		}
+		for i, it := range items {
+			if got := bytes.TrimSpace(it); !bytes.Equal(got, oracle.Decisions[i]) {
+				t.Fatalf("item %d of %q = %q, encoding/json reads %q", i, body, got, oracle.Decisions[i])
+			}
+		}
+	})
 }

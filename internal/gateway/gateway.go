@@ -167,10 +167,16 @@ type Gateway struct {
 
 	requests atomic.Uint64
 
-	// loopWG joins the prober goroutine; verifyWG joins hedge fetch and
-	// verification goroutines. Close waits on both.
+	// loopWG joins the prober goroutine; verifyWG joins every fetch
+	// goroutine (launch.go), running or parked. Close waits on both.
 	loopWG   sync.WaitGroup
 	verifyWG sync.WaitGroup
+
+	// fetchMu guards the hand-off slots of the parked fetch goroutines
+	// and fetchClosed, which Close sets.
+	fetchMu     sync.Mutex
+	parked      []chan func()
+	fetchClosed bool
 
 	requestsC       *obs.Counter
 	hedges          *obs.Counter
@@ -358,9 +364,11 @@ func (g *Gateway) Start(ctx context.Context) {
 }
 
 // Close joins every goroutine the gateway owns: the prober (after its
-// context is cancelled) and in-flight hedge fetches and verifiers.
+// context is cancelled), the fetches and hedge verifiers in flight, and
+// the parked fetch goroutines, which it releases.
 func (g *Gateway) Close() {
 	g.loopWG.Wait()
+	g.releaseFetchers()
 	g.verifyWG.Wait()
 }
 

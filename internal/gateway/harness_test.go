@@ -235,6 +235,12 @@ func clusterChaosPlan(t testing.TB, seed uint64) *fault.Plan {
 	return plan
 }
 
+// healthyOwners returns up to n distinct healthy owners for key — the
+// primary and the hedge replica.
+func (g *Gateway) healthyOwners(key string, n int) []string {
+	return g.appendHealthyOwners(nil, key, n)
+}
+
 // probeAll steps the gateway's prober once, as the background loop
 // would.
 func (tc *testCluster) probeAll() {

@@ -31,6 +31,7 @@ const (
 // registry returns the existing instrument for a repeated registration).
 type backend struct {
 	url string
+	via []string // the X-Gw-Backend value of its answers: []string{url}
 
 	state  atomic.Int32
 	consec atomic.Int32 // consecutive healthy probes while drained
@@ -47,7 +48,7 @@ type backend struct {
 }
 
 func (g *Gateway) newBackend(url string) *backend {
-	b := &backend{url: url}
+	b := &backend{url: url, via: []string{url}}
 	b.state.Store(stateHealthy)
 	b.lastStatus.Store("unprobed")
 	l := obs.L("backend", url)

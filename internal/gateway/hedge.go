@@ -45,32 +45,32 @@ func (g *Gateway) hedgeDelay(owner string) time.Duration {
 
 // hedgedFetch fetches one keyed request, racing a second replica if the
 // primary has not answered by the hedge delay. The first answer wins and
-// is returned immediately; a verifier goroutine drains the loser and,
-// when both replicas answered 200, asserts the bodies are byte-identical
-// — the determinism contract, audited for free on every hedge. The
-// fetches run on a context detached from the caller's (bounded by
-// ForwardTimeout instead), so coalesced waiters sharing this fill do not
-// die with the leader's request, and the losing replica completes for
-// verification even after the winner is already written.
+// is returned immediately; a verifier drains the loser and, when both
+// replicas answered 200, asserts the bodies are byte-identical — the
+// determinism contract, audited for free on every hedge. The fetches and
+// the verifier run on fetch goroutines (launch.go), on a context
+// detached from the caller's (bounded by ForwardTimeout instead), so
+// coalesced waiters sharing this fill do not die with the leader's
+// request, and the losing replica completes for verification even after
+// the winner is already written.
 func (g *Gateway) hedgedFetch(ctx context.Context, key, method, uri string, body []byte, inbound http.Header) (*proxyResult, error) {
 	fctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), g.cfg.ForwardTimeout)
-	owners := g.healthyOwners(key, 2)
+	var ownerBuf [2]string
+	owners := g.appendHealthyOwners(ownerBuf[:0], key, 2)
 	canHedge := !g.cfg.NoHedge && len(owners) == 2
 
 	ch := make(chan hedgeAnswer, 2)
-	launch := func(exclude, from string) {
-		g.verifyWG.Add(1)
-		go func() {
-			defer g.verifyWG.Done()
+	fetch := func(exclude, from string) {
+		g.launch(func() {
 			res, err := g.forwardKeyed(fctx, key, method, uri, body, inbound, exclude)
 			ch <- hedgeAnswer{res: res, err: err, from: from}
-		}()
+		})
 	}
 	primary := ""
 	if len(owners) > 0 {
 		primary = owners[0]
 	}
-	launch("", primary)
+	fetch("", primary)
 	launched := 1
 
 	var timerC <-chan time.Time
@@ -95,7 +95,7 @@ func (g *Gateway) hedgedFetch(ctx context.Context, key, method, uri string, body
 		case <-timerC:
 			timerC = nil
 			g.hedges.Inc()
-			launch(owners[0], owners[1])
+			fetch(owners[0], owners[1])
 			launched++
 		}
 	}
@@ -105,13 +105,10 @@ func (g *Gateway) hedgedFetch(ctx context.Context, key, method, uri string, body
 	if answered < launched {
 		// The losing replica is still in flight: a verifier drains it and
 		// audits the race before releasing the detached context.
-		g.verifyWG.Add(1)
-		go func(win hedgeAnswer) {
-			defer g.verifyWG.Done()
+		g.launch(func() {
 			defer cancel()
-			lose := <-ch
-			g.verifyHedge(key, win, lose)
-		}(win)
+			g.verifyHedge(key, win, <-ch)
+		})
 	} else {
 		cancel()
 	}

@@ -16,26 +16,32 @@ import (
 var errNoBackends = errors.New("no routable backend")
 
 // proxyResult is one backend answer, fully buffered: status, the
-// backend's headers, the body bytes, and which backend produced it.
+// backend's headers, the body bytes, and which backend produced it (as
+// its URL and as the X-Gw-Backend value slice it shares with every other
+// answer from that backend).
 type proxyResult struct {
 	status  int
 	header  http.Header
 	body    []byte
 	backend string
+	via     []string
 }
 
 // forwardHeaders are the backend headers a proxied response keeps. The
 // gateway adds X-Gw-Backend so tests and operators can see routing.
 var forwardHeaders = []string{"Content-Type", "X-Cache", "X-Degraded", "X-Fault-Injected", "X-Request-Id"}
 
+// writeProxyResult writes a backend answer. The forwarded headers keep
+// the backend's own value slices, shared by every waiter on the answer;
+// nothing writes into a response header's slices, only replaces them.
 func writeProxyResult(w http.ResponseWriter, res *proxyResult) {
 	h := w.Header()
 	for _, k := range forwardHeaders {
-		if v := res.header.Get(k); v != "" {
-			h.Set(k, v)
+		if v := res.header[k]; len(v) > 0 {
+			h[k] = v
 		}
 	}
-	h.Set("X-Gw-Backend", res.backend)
+	h["X-Gw-Backend"] = res.via
 	h.Set("Content-Length", strconv.Itoa(len(res.body)))
 	w.WriteHeader(res.status)
 	_, _ = w.Write(res.body)
@@ -66,8 +72,8 @@ func (g *Gateway) forwardOnce(ctx context.Context, b *backend, method, uri strin
 	if len(body) > 0 {
 		req.Header["Content-Type"] = headerJSON
 	}
-	if id := inbound.Get("X-Request-Id"); id != "" {
-		req.Header.Set("X-Request-Id", id)
+	if id := inbound["X-Request-Id"]; len(id) > 0 {
+		req.Header["X-Request-Id"] = id
 	}
 	b.requests.Inc()
 	begin := g.clock()
@@ -76,7 +82,7 @@ func (g *Gateway) forwardOnce(ctx context.Context, b *backend, method, uri strin
 		b.errors.Inc()
 		return nil, err
 	}
-	data, rerr := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	data, rerr := readBackendBody(resp, method)
 	_ = resp.Body.Close()
 	b.latency.ObserveDuration(g.clock().Sub(begin))
 	if rerr != nil {
@@ -86,7 +92,22 @@ func (g *Gateway) forwardOnce(ctx context.Context, b *backend, method, uri strin
 	if resp.StatusCode >= http.StatusInternalServerError {
 		b.errors.Inc()
 	}
-	return &proxyResult{status: resp.StatusCode, header: resp.Header, body: data, backend: b.url}, nil
+	return &proxyResult{status: resp.StatusCode, header: resp.Header, body: data, backend: b.url, via: b.via}, nil
+}
+
+// readBackendBody reads a backend answer's body. A declared length is
+// read into one buffer of that size: net/http ends the body there, so a
+// short body is an error, and a declared length over maxBodyBytes takes
+// the bounded read below instead of its allocation. A body of unknown
+// length is read with a bound, because a member's answer is outside
+// input. A HEAD answer declares a length but carries no body.
+func readBackendBody(resp *http.Response, method string) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxBodyBytes && method != http.MethodHead {
+		data := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, data)
+		return data, err
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
 }
 
 // ownerFor resolves a key's backend: the first healthy ring owner not in
@@ -103,9 +124,10 @@ func (g *Gateway) ownerFor(key string, excluded map[string]bool) *backend {
 		b := g.backends[m]
 		return b != nil && b.healthy()
 	}
-	owners := g.ring.owners(key, 1, alive)
+	var buf [1]string
+	owners := g.ring.owners(buf[:0], key, 1, alive)
 	if len(owners) == 0 {
-		owners = g.ring.owners(key, 1, func(m string) bool { return !excluded[m] })
+		owners = g.ring.owners(buf[:0], key, 1, func(m string) bool { return !excluded[m] })
 		if len(owners) == 0 {
 			return nil
 		}
@@ -114,12 +136,12 @@ func (g *Gateway) ownerFor(key string, excluded map[string]bool) *backend {
 	return g.backends[owners[0]]
 }
 
-// healthyOwners returns up to n distinct healthy owners for key — the
-// primary and the hedge replica.
-func (g *Gateway) healthyOwners(key string, n int) []string {
+// appendHealthyOwners appends up to n distinct healthy owners for key to
+// dst — the primary and the hedge replica.
+func (g *Gateway) appendHealthyOwners(dst []string, key string, n int) []string {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.ring.owners(key, n, func(m string) bool {
+	return g.ring.owners(dst, key, n, func(m string) bool {
 		b := g.backends[m]
 		return b != nil && b.healthy()
 	})

@@ -107,27 +107,28 @@ func buildRing(members []string, vnodes int) *ring {
 	return r
 }
 
-// owners returns up to n distinct members for key, walking clockwise
-// from the key's hash and skipping members alive rejects. A nil alive
-// accepts everyone. The first entry is the key's primary owner; the
-// second is the hedge replica, and so on.
-func (r *ring) owners(key string, n int, alive func(string) bool) []string {
+// owners appends up to n distinct members for key to dst, walking
+// clockwise from the key's hash and skipping members alive rejects. A
+// nil alive accepts everyone. The first member appended is the key's
+// primary owner; the second is the hedge replica, and so on. Callers
+// pass a buffer of n, so a walk allocates nothing.
+func (r *ring) owners(dst []string, key string, n int, alive func(string) bool) []string {
 	if r == nil || len(r.points) == 0 || n <= 0 {
-		return nil
+		return dst
 	}
 	h := hashString(key)
 	idx := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]string, 0, n)
-	for step := 0; step < len(r.points) && len(out) < n; step++ {
+	base := len(dst)
+	for step := 0; step < len(r.points) && len(dst)-base < n; step++ {
 		p := &r.points[(idx+step)%len(r.points)]
-		if containsString(out, p.owner) {
+		if containsString(dst[base:], p.owner) {
 			continue
 		}
 		if alive == nil || alive(p.owner) {
-			out = append(out, p.owner)
+			dst = append(dst, p.owner)
 		}
 	}
-	return out
+	return dst
 }
 
 func containsString(list []string, s string) bool {

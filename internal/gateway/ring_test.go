@@ -48,7 +48,7 @@ func TestRingBalance(t *testing.T) {
 				r := buildRing(members, defaultVNodes)
 				counts := make(map[string]int, size)
 				for _, key := range ringKeys(seed, keysPerCase) {
-					owners := r.owners(key, 1, nil)
+					owners := r.owners(nil, key, 1, nil)
 					if len(owners) != 1 {
 						t.Fatalf("seed %d: key %q resolved %d owners", seed, key, len(owners))
 					}
@@ -86,8 +86,8 @@ func TestRingRemovalMinimalDisruption(t *testing.T) {
 		after := buildRing(survivors, defaultVNodes)
 		moved := 0
 		for _, key := range ringKeys(seed, keysPerCase) {
-			ob := before.owners(key, 1, nil)[0]
-			oa := after.owners(key, 1, nil)[0]
+			ob := before.owners(nil, key, 1, nil)[0]
+			oa := after.owners(nil, key, 1, nil)[0]
 			if ob == removed {
 				moved++
 				if oa == removed {
@@ -126,8 +126,8 @@ func TestRingDeterministic(t *testing.T) {
 		}
 	}
 	for _, key := range ringKeys(7, 1000) {
-		oa := a.owners(key, 2, nil)
-		ob := b.owners(key, 2, nil)
+		oa := a.owners(nil, key, 2, nil)
+		ob := b.owners(nil, key, 2, nil)
 		if len(oa) != len(ob) || oa[0] != ob[0] || oa[1] != ob[1] {
 			t.Fatalf("key %q: owners %v vs %v", key, oa, ob)
 		}
@@ -143,7 +143,7 @@ func TestRingOwnersSkipAndDistinct(t *testing.T) {
 	dead := members[2]
 	alive := func(m string) bool { return m != dead }
 	for _, key := range ringKeys(11, 200) {
-		owners := r.owners(key, 4, alive)
+		owners := r.owners(nil, key, 4, alive)
 		if len(owners) != 3 {
 			t.Fatalf("key %q: got %d owners with one member dead, want 3", key, len(owners))
 		}
@@ -162,12 +162,12 @@ func TestRingOwnersSkipAndDistinct(t *testing.T) {
 	// Draining a member must not move keys between the survivors: the
 	// first non-dead owner in the full walk is the drained pick.
 	for _, key := range ringKeys(11, 200) {
-		full := r.owners(key, 4, nil)
+		full := r.owners(nil, key, 4, nil)
 		want := full[0]
 		if want == dead {
 			want = full[1]
 		}
-		if got := r.owners(key, 1, alive)[0]; got != want {
+		if got := r.owners(nil, key, 1, alive)[0]; got != want {
 			t.Fatalf("key %q: drained owner %s, want %s", key, got, want)
 		}
 	}
@@ -175,22 +175,27 @@ func TestRingOwnersSkipAndDistinct(t *testing.T) {
 
 // TestRingEdgeCases covers the degenerate inputs.
 func TestRingEdgeCases(t *testing.T) {
-	if got := buildRing(nil, defaultVNodes).owners("k", 1, nil); got != nil {
+	if got := buildRing(nil, defaultVNodes).owners(nil, "k", 1, nil); got != nil {
 		t.Fatalf("empty ring returned owners %v", got)
 	}
 	var nilRing *ring
-	if got := nilRing.owners("k", 1, nil); got != nil {
+	if got := nilRing.owners(nil, "k", 1, nil); got != nil {
 		t.Fatalf("nil ring returned owners %v", got)
 	}
 	one := buildRing([]string{"http://solo:1"}, defaultVNodes)
-	if got := one.owners("k", 3, nil); len(got) != 1 || got[0] != "http://solo:1" {
+	if got := one.owners(nil, "k", 3, nil); len(got) != 1 || got[0] != "http://solo:1" {
 		t.Fatalf("single-member ring returned %v", got)
 	}
-	if got := one.owners("k", 0, nil); got != nil {
+	if got := one.owners(nil, "k", 0, nil); got != nil {
 		t.Fatalf("n=0 returned %v", got)
 	}
-	if got := one.owners("k", 1, func(string) bool { return false }); len(got) != 0 {
+	if got := one.owners(nil, "k", 1, func(string) bool { return false }); len(got) != 0 {
 		t.Fatalf("all-dead ring returned %v", got)
+	}
+	// A walk appends after what dst holds; only its own members count
+	// toward n and toward distinctness.
+	if got := one.owners([]string{"http://solo:1"}, "k", 1, nil); len(got) != 2 || got[1] != "http://solo:1" {
+		t.Fatalf("walk after a one-member prefix returned %v", got)
 	}
 }
 
