@@ -164,6 +164,13 @@ go test -run '^$' -fuzz 'FuzzDecisionKeyRoundTrip$' -fuzztime 3s ./internal/serv
 echo "== batch-split fuzz smoke (the gateway's splitter, against encoding/json) =="
 go test -run '^$' -fuzz 'FuzzSplitBatchItems$' -fuzztime 3s ./internal/gateway > /dev/null
 
+echo "== profile fuzz smoke (fault and SLO specs round-trip through String) =="
+go test -run '^$' -fuzz 'FuzzFaultProfileRoundTrip$' -fuzztime 3s ./internal/fault > /dev/null
+go test -run '^$' -fuzz 'FuzzSLOProfileRoundTrip$' -fuzztime 3s ./internal/slo > /dev/null
+
+echo "== cached-decision fuzz smoke (head plus shared tail, against json.Marshal) =="
+go test -run '^$' -fuzz 'FuzzCachedDecisionBytes$' -fuzztime 3s ./internal/serve > /dev/null
+
 echo "== wal: kill -9 mid-traffic, restart, byte-identical warm answers =="
 # The durability contract, end to end against the real binary: decide a
 # set of queries under -fsync always, kill the daemon without ceremony,
@@ -367,7 +374,10 @@ b3pid=""
 #   go test -fuzz=FuzzParseLicensePostBody -fuzztime=30s ./internal/serve
 #   go test -fuzz=FuzzParseLicenseQuery -fuzztime=30s ./internal/serve
 #   go test -fuzz=FuzzDecisionKeyRoundTrip -fuzztime=30s ./internal/serve
+#   go test -fuzz=FuzzCachedDecisionBytes -fuzztime=30s ./internal/serve
 #   go test -fuzz=FuzzSplitBatchItems -fuzztime=30s ./internal/gateway
+#   go test -fuzz=FuzzFaultProfileRoundTrip -fuzztime=30s ./internal/fault
+#   go test -fuzz=FuzzSLOProfileRoundTrip -fuzztime=30s ./internal/slo
 #   go test -fuzz=FuzzWALRecord -fuzztime=30s ./internal/wal
 #   go test -fuzz=FuzzSegmentReplay -fuzztime=30s ./internal/wal
 

@@ -139,7 +139,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "hpcexportd:", err)
 			os.Exit(1)
 		}
-		if prof.String() != "none" {
+		if prof.Active() {
 			fmt.Fprintf(os.Stderr, "hpcexportd: fault injection active: seed %d, profile %s\n",
 				*faultSeed, prof)
 		}

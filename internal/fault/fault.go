@@ -93,7 +93,7 @@ func (rp RouteProfile) validate() error {
 		name string
 		v    float64
 	}{{"error", rp.Error}, {"latency", rp.Latency}, {"poison", rp.Poison}} {
-		if r.v < 0 || r.v > 1 {
+		if !(r.v >= 0 && r.v <= 1) { // NaN too: it would silence the bands after it
 			return fmt.Errorf("fault: %s rate %g outside [0,1]", r.name, r.v)
 		}
 	}
@@ -154,8 +154,23 @@ func (p Profile) Validate() error {
 	return nil
 }
 
+// Active reports whether the profile injects anything at all.
+func (p Profile) Active() bool {
+	if p.Default.active() {
+		return true
+	}
+	for _, rp := range p.Routes {
+		if rp.active() {
+			return true
+		}
+	}
+	return false
+}
+
 // String renders the profile as a canonical Parse-able spec: the default
-// clause first, then route overrides sorted by route. An inactive profile
+// clause first, then route overrides sorted by route. An inactive
+// override exempts its route from the default and renders as
+// "ROUTE:error=0". A profile with no active default and no overrides
 // renders as "none".
 func (p Profile) String() string {
 	var clauses []string
@@ -165,6 +180,8 @@ func (p Profile) String() string {
 	for _, route := range sortedRoutes(p.Routes) {
 		if rp := p.Routes[route]; rp.active() {
 			clauses = append(clauses, route+":"+rp.spec())
+		} else {
+			clauses = append(clauses, route+":error=0")
 		}
 	}
 	if len(clauses) == 0 {

@@ -182,10 +182,100 @@ func TestParseSpecWithRouteOverride(t *testing.T) {
 	}
 }
 
+// TestInactiveOverrideSurvivesString: an override that injects nothing
+// exempts its route from the default, so String must keep it. Dropping
+// it rendered "error=0.5;/v1/healthz:error=0" as "error=0.5", which
+// reparses to a profile that faults /v1/healthz half the time.
+func TestInactiveOverrideSurvivesString(t *testing.T) {
+	const spec = "error=0.5;/v1/healthz:error=0"
+	prof, err := Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := prof.String(); got != spec {
+		t.Fatalf("String() = %q, want %q", got, spec)
+	}
+	again, err := Parse(prof.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rp := again.For("/v1/healthz"); rp.active() {
+		t.Errorf("reparsed profile faults /v1/healthz: %+v", rp)
+	}
+	if !prof.Active() {
+		t.Error("a profile with a 50% default error rate must be active")
+	}
+	exempt, err := Parse("/v1/healthz:error=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exempt.Active() || exempt.String() != "/v1/healthz:error=0" {
+		t.Errorf("exemption alone: Active %v, String %q; want inactive and kept", exempt.Active(), exempt.String())
+	}
+}
+
+// FuzzFaultProfileRoundTrip holds String to Parse: for any spec Parse
+// accepts, Parse(String()) succeeds and renders the same String, and
+// plans over the two profiles with one seed make the same decision in
+// slots 0-63 on every route either profile names and on one route
+// neither names. A delay with no latency rate is dropped by String and
+// changes no decision.
+func FuzzFaultProfileRoundTrip(f *testing.F) {
+	for _, spec := range []string{
+		"none", "flaky", "slow", "chaos",
+		"error=0.5;/v1/healthz:error=0",
+		"error=0.1;/v1/license:error=0.5,poison=0.2",
+		"latency=0.25,delay=5ms;/v1/catalog:delay=1ms",
+		"/v1/threshold:latency=1,delay=1h30m",
+	} {
+		f.Add(uint64(90), spec)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, spec string) {
+		prof, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		text := prof.String()
+		again, err := Parse(text)
+		if err != nil {
+			t.Fatalf("Parse(%q) renders %q, which Parse refuses: %v", spec, text, err)
+		}
+		if got := again.String(); got != text {
+			t.Fatalf("Parse(%q) renders %q, which renders %q", spec, text, got)
+		}
+		a, err := NewPlan(seed, prof)
+		if err != nil {
+			t.Fatalf("NewPlan(Parse(%q)): %v", spec, err)
+		}
+		b, err := NewPlan(seed, again)
+		if err != nil {
+			t.Fatalf("NewPlan(Parse(%q)): %v", text, err)
+		}
+		unnamed := "/unnamed"
+		for {
+			_, inA := prof.Routes[unnamed]
+			_, inB := again.Routes[unnamed]
+			if !inA && !inB {
+				break
+			}
+			unnamed += "/x"
+		}
+		routes := append(append(sortedRoutes(prof.Routes), sortedRoutes(again.Routes)...), unnamed)
+		for _, route := range routes {
+			for slot := uint64(0); slot < 64; slot++ {
+				if da, db := a.At(route, slot), b.At(route, slot); da != db {
+					t.Fatalf("%q vs its String %q: route %q slot %d decides %+v vs %+v", spec, text, route, slot, da, db)
+				}
+			}
+		}
+	})
+}
+
 func TestParseErrors(t *testing.T) {
 	for _, spec := range []string{
 		"error=2",                         // rate above 1
 		"error=-0.1",                      // negative rate
+		"error=NaN,latency=0.5,delay=1ms", // NaN rate
 		"error=0.6,latency=0.5,delay=1ms", // bands sum past 1
 		"latency=0.2",                     // latency without delay
 		"delay=-3ms,latency=0.1",          // negative delay

@@ -58,7 +58,7 @@ func (s *stubTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 // http.Client.Do and the stub allocate. A raised count is serial cost
 // that every request through the gateway pays.
 func TestKeyedGetAllocs(t *testing.T) {
-	const ceiling = 44
+	const ceiling = 43
 	body := []byte(`{"decision":{"ctp":21125,"destination":"india","endUse":"modeling","license":true}}` + "\n")
 	g, err := New(Config{
 		Backends:   []string{"http://backend-a", "http://backend-b"},

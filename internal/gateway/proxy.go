@@ -16,12 +16,14 @@ import (
 var errNoBackends = errors.New("no routable backend")
 
 // proxyResult is one backend answer, fully buffered: status, the
-// backend's headers, the body bytes, and which backend produced it (as
-// its URL and as the X-Gw-Backend value slice it shares with every other
-// answer from that backend).
+// backend's headers, the length it declared (-1 if none), the body
+// bytes, and which backend produced it (as its URL and as the
+// X-Gw-Backend value slice it shares with every other answer from that
+// backend).
 type proxyResult struct {
 	status  int
 	header  http.Header
+	clen    int64
 	body    []byte
 	backend string
 	via     []string
@@ -34,6 +36,9 @@ var forwardHeaders = []string{"Content-Type", "X-Cache", "X-Degraded", "X-Fault-
 // writeProxyResult writes a backend answer. The forwarded headers keep
 // the backend's own value slices, shared by every waiter on the answer;
 // nothing writes into a response header's slices, only replaces them.
+// Content-Length is the backend's own value when the body was read at
+// the one length it declared, and len(body) otherwise: a HEAD answer or
+// a body of unknown length.
 func writeProxyResult(w http.ResponseWriter, res *proxyResult) {
 	h := w.Header()
 	for _, k := range forwardHeaders {
@@ -42,7 +47,11 @@ func writeProxyResult(w http.ResponseWriter, res *proxyResult) {
 		}
 	}
 	h["X-Gw-Backend"] = res.via
-	h.Set("Content-Length", strconv.Itoa(len(res.body)))
+	if v := res.header["Content-Length"]; len(v) == 1 && res.clen == int64(len(res.body)) {
+		h["Content-Length"] = v
+	} else {
+		h.Set("Content-Length", strconv.Itoa(len(res.body)))
+	}
 	w.WriteHeader(res.status)
 	_, _ = w.Write(res.body)
 }
@@ -92,7 +101,7 @@ func (g *Gateway) forwardOnce(ctx context.Context, b *backend, method, uri strin
 	if resp.StatusCode >= http.StatusInternalServerError {
 		b.errors.Inc()
 	}
-	return &proxyResult{status: resp.StatusCode, header: resp.Header, body: data, backend: b.url, via: b.via}, nil
+	return &proxyResult{status: resp.StatusCode, header: resp.Header, clen: resp.ContentLength, body: data, backend: b.url, via: b.via}, nil
 }
 
 // readBackendBody reads a backend answer's body. A declared length is

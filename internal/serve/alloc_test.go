@@ -63,7 +63,7 @@ func TestWarmLicenseGetZeroAllocs(t *testing.T) {
 // per-request bookkeeping; a raised count is serial cost that every
 // request pays.
 func TestWarmLicenseGetStackAllocs(t *testing.T) {
-	const ceiling = 18
+	const ceiling = 17
 	s := newTestServer(t)
 	if s.tracer == nil || s.flightrec == nil || s.logger != nil {
 		t.Fatal("test server must trace and capture without logging, as hpcexportd -quiet does")

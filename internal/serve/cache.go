@@ -102,18 +102,29 @@ func (l *LRU[K, V]) Stats() CacheStats {
 
 // cachedDecision is one license decision as the decision cache stores
 // it: its exact wire rendering, its length and its hash — nothing else,
-// so an entry retains only what a hit serves. body is the full response
-// body including the trailing newline, written as is by a warm hit and
-// spliced by the batch path; clen is the preformatted Content-Length
-// header value, shaped as the one-element slice http.Header wants so the
-// hit path assigns it without allocating. hash is the FNV-1a-64 digest
-// of body — the fingerprint the decision log records so warm-start
-// replay can prove a recomputed body is byte-identical to the one served
-// before the restart.
+// so an entry retains only what a hit serves. The response body,
+// trailing newline included, is head followed by tail. head is the
+// entry's own bytes. tail is nil, or the tier skeleton's shared tail
+// when the decision is one the tier alone settles, so the bytes every
+// such decision of a tier ends with are stored once. A warm hit writes
+// head then tail; the batch path splices them. clen is the preformatted
+// Content-Length header value, shaped as the one-element slice
+// http.Header wants so the hit path assigns it without allocating. hash
+// is the FNV-1a-64 digest of the whole body — the fingerprint the
+// decision log records so warm-start replay can prove a recomputed body
+// is byte-identical to the one served before the restart.
 type cachedDecision struct {
-	body []byte
+	head []byte
+	tail []byte
 	clen []string
 	hash uint64
+}
+
+// appendJSON appends the decision's JSON object, without the trailing
+// newline, to dst.
+func (d *cachedDecision) appendJSON(dst []byte) []byte {
+	dst = append(append(dst, d.head...), d.tail...)
+	return dst[:len(dst)-1]
 }
 
 // decisionLRU specializes the generic LRU for the license hot path: the

@@ -1,8 +1,8 @@
 package serve
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"net/http"
 	"strconv"
 	"strings"
@@ -95,13 +95,18 @@ func putScratch(sc *scratch) {
 // wire-ready strings of a country tier's outcome, safeguard package, and
 // rationale, derived once at init from safeguards.Rule so a cache fill
 // renders a tier's strings by table lookup instead of re-deriving them.
-// The safeguards slice is shared by every decision in the tier and is
-// immutable by the same contract that makes cached decisions immutable.
+// tail is the encoded end of every at-or-above-threshold decision of the
+// tier, from `,"outcome":` through the closing brace and newline: the
+// bytes a cached decision of the tier shares instead of copying. The
+// safeguards and tail slices are shared by every decision in the tier
+// and are immutable by the same contract that makes cached decisions
+// immutable.
 type tierSkeleton struct {
 	tier       string
 	outcome    string
 	safeguards []string
 	rationale  string
+	tail       []byte
 }
 
 var tierSkeletons = buildTierSkeletons()
@@ -114,9 +119,43 @@ func buildTierSkeletons() [safeguards.Restricted + 1]tierSkeleton {
 		for _, sg := range sgs {
 			row.safeguards = append(row.safeguards, sg.String())
 		}
+		row.tail = encodeTierTail(&row)
 		out[t] = row
 	}
 	return out
+}
+
+// encodeTierTail encodes a template decision of the row's tier with the
+// encoder every cache fill uses and returns a copy of its bytes from
+// `,"outcome":` on, the part the tier alone fixes when the rated CTP is
+// at or above the threshold. No field before it can hold that mark:
+// inside a JSON string every quote is escaped. A nil tail leaves every
+// decision of the tier a whole body.
+func encodeTierTail(row *tierSkeleton) []byte {
+	js := jsonPool.Get().(*jsonScratch)
+	defer jsonPool.Put(js)
+	body, err := js.encode(&LicenseResponse{
+		Destination: "template", Tier: row.tier, CTPMtops: 1, ThresholdMtops: 1,
+		Outcome: row.outcome, Safeguards: row.safeguards, Rationale: row.rationale,
+	})
+	if err != nil {
+		return nil
+	}
+	i := bytes.Index(body, []byte(`,"outcome":`))
+	if i < 0 {
+		return nil
+	}
+	return bytes.Clone(body[i:])
+}
+
+// tierTail returns the shared tail of the tier named tier, or nil.
+func tierTail(tier string) []byte {
+	for i := range tierSkeletons {
+		if tierSkeletons[i].tier == tier {
+			return tierSkeletons[i].tail
+		}
+	}
+	return nil
 }
 
 // resolveLicense canonicalizes one request into fill arguments through
@@ -241,18 +280,27 @@ func buildDecision(a *fillArgs) (*LicenseResponse, *statusError) {
 	return resp, nil
 }
 
-// encodeCached renders a response to its cached wire form: the exact
-// bytes writeJSON would produce (trailing newline included) plus the
-// preformatted Content-Length value. It runs once per cache fill; every
-// hit replays these bytes without encoding anything.
+// encodeCached renders a response to its cached wire form with
+// writeJSON's pooled encoder: the exact bytes writeJSON would produce
+// (json.Marshal's plus the trailing newline), the preformatted
+// Content-Length value and the hash of the whole body. A body that ends
+// with its tier's tail keeps a copy of its head only and shares the
+// tail; any other body keeps one whole copy. It runs once per cache
+// fill; every hit replays these bytes without encoding anything.
 func encodeCached(resp *LicenseResponse) (*cachedDecision, error) {
-	body, err := json.Marshal(resp)
+	js := jsonPool.Get().(*jsonScratch)
+	defer jsonPool.Put(js)
+	body, err := js.encode(resp)
 	if err != nil {
 		return nil, err
 	}
-	body = append(body, '\n')
+	tail := tierTail(resp.Tier)
+	if !bytes.HasSuffix(body, tail) {
+		tail = nil
+	}
 	return &cachedDecision{
-		body: body,
+		head: bytes.Clone(body[:len(body)-len(tail)]),
+		tail: tail,
 		clen: []string{strconv.Itoa(len(body))},
 		hash: bodyHash(body),
 	}, nil

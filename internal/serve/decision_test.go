@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -75,6 +76,66 @@ func TestBuildDecisionMatchesDirectEvaluation(t *testing.T) {
 			t.Errorf("%+v: want a 400, got %v", a, herr)
 		}
 	}
+}
+
+// TestCachedDecisionSharesTierTail pins the decision cache's split. An
+// at-or-above-threshold decision of each of the five tiers keeps only its
+// own head and shares the tier skeleton's tail, the same backing array;
+// a below-threshold decision, whose rationale names the threshold, keeps
+// one whole body and no tail. Either way head plus tail is json.Marshal's
+// bytes plus the newline, measured and hashed as one body.
+func TestCachedDecisionSharesTierTail(t *testing.T) {
+	destOf := map[safeguards.Tier]string{}
+	for _, dest := range safeguards.KnownDestinations() {
+		if tier := safeguards.TierOf(dest); destOf[tier] == "" {
+			destOf[tier] = dest
+		}
+	}
+	for tier := safeguards.SupplierState; tier <= safeguards.Restricted; tier++ {
+		dest, ok := destOf[tier]
+		if !ok {
+			t.Fatalf("no known destination of tier %v", tier)
+		}
+		d := cachedMatchesMarshal(t, &fillArgs{dest: dest, endUse: "weather modeling", rated: 21125, th: 2000})
+		row := &tierSkeletons[tier]
+		if d == nil || len(d.tail) == 0 || len(row.tail) == 0 || &d.tail[0] != &row.tail[0] {
+			t.Errorf("%s (%v): the entry %+v does not share the skeleton's tail", dest, tier, d)
+		}
+	}
+	// The body is longer than its tier's tail, so only the suffix check
+	// keeps the split off it.
+	d := cachedMatchesMarshal(t, &fillArgs{dest: "france", endUse: "numerical weather prediction", rated: 1500, th: 2000})
+	if d == nil || d.tail != nil {
+		t.Errorf("below-threshold entry %+v, want one whole body and no tail", d)
+	}
+}
+
+// cachedMatchesMarshal builds a's decision, encodes it for the cache and
+// requires head plus tail to be json.Marshal's bytes plus the newline,
+// with that body's Content-Length and hash. It returns nil when a does
+// not evaluate or both encoders refuse the decision.
+func cachedMatchesMarshal(t *testing.T, a *fillArgs) *cachedDecision {
+	t.Helper()
+	resp, herr := buildDecision(a)
+	if herr != nil {
+		return nil
+	}
+	want, merr := json.Marshal(resp)
+	d, err := encodeCached(resp)
+	if (merr != nil) != (err != nil) {
+		t.Fatalf("%+v: json.Marshal error %v, encodeCached error %v", a, merr, err)
+	}
+	if merr != nil {
+		return nil
+	}
+	want = append(want, '\n')
+	if got := string(d.head) + string(d.tail); got != string(want) {
+		t.Fatalf("%+v: head+tail\n %q\nwant\n %q", a, got, want)
+	}
+	if d.clen[0] != strconv.Itoa(len(want)) || d.hash != bodyHash(want) {
+		t.Fatalf("%+v: Content-Length %s hash %x, want %d and %x", a, d.clen[0], d.hash, len(want), bodyHash(want))
+	}
+	return d
 }
 
 // TestDecisionKeySeparatorIsRefused: the decision key joins its fields

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/safeguards"
 	"repro/internal/units"
 )
 
@@ -95,6 +96,33 @@ func sameArgs(x, y fillArgs) bool {
 	}
 	return x.sysName == y.sysName && x.dest == y.dest && x.endUse == y.endUse &&
 		sameFloat(x.rated, y.rated) && sameFloat(x.th, y.th)
+}
+
+// FuzzCachedDecisionBytes holds the decision cache's split to the
+// encoder for any destination and end use (HTML-escaped characters,
+// invalid UTF-8, U+2028) and any CTP and threshold: head plus tail is
+// json.Marshal's bytes plus the newline, with that body's length and
+// hash. A decision keeps a tail exactly when it is at or above the
+// threshold, and that tail is its tier skeleton's own.
+func FuzzCachedDecisionBytes(f *testing.F) {
+	f.Add("india", "weather modeling", 21125.0, 2000.0)
+	f.Add("france", "numerical weather prediction", 1500.0, 2000.0)
+	f.Add(" North Korea ", "", 7000.0, 7000.0)
+	f.Add("<b>&amp;</b>", "a\u2028b\u2029c", 1e308, 5e-324)
+	f.Add("\xff\xfejapan", "\x00\x1f\"\\", 4.5, 4.25)
+	f.Fuzz(func(t *testing.T, dest, endUse string, rated, th float64) {
+		a := fillArgs{dest: dest, endUse: endUse, rated: units.Mtops(rated), th: units.Mtops(th)}
+		d := cachedMatchesMarshal(t, &a)
+		if d == nil {
+			return
+		}
+		if atOrAbove := !(rated < th); atOrAbove != (d.tail != nil) {
+			t.Fatalf("%+v: at or above threshold %v, shared tail %q", a, atOrAbove, d.tail)
+		}
+		if d.tail != nil && &d.tail[0] != &tierSkeletons[safeguards.TierOf(dest)].tail[0] {
+			t.Fatalf("%+v: tail %q is not the %v skeleton's", a, d.tail, safeguards.TierOf(dest))
+		}
+	})
 }
 
 // FuzzDecisionKeyRoundTrip pins parseDecisionKey to appendDecisionKey.

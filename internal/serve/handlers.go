@@ -35,19 +35,28 @@ var jsonPool = sync.Pool{New: func() interface{} {
 	return js
 }}
 
+// encode renders v as json.Marshal does, plus a trailing newline. The
+// returned bytes live in the scratch buffer until its next use.
+func (js *jsonScratch) encode(v interface{}) ([]byte, error) {
+	js.buf.Reset()
+	if err := js.enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return js.buf.Bytes(), nil
+}
+
 // writeJSON encodes v and writes it with the given status. Encoding
 // happens before the header goes out so an encoding failure can still
 // become a 500 instead of a torn body, and the finished length goes out
 // as Content-Length on every endpoint.
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	js := jsonPool.Get().(*jsonScratch)
-	js.buf.Reset()
-	if err := js.enc.Encode(v); err != nil {
+	b, err := js.encode(v)
+	if err != nil {
 		jsonPool.Put(js)
 		http.Error(w, `{"error":"response encoding failed"}`, http.StatusInternalServerError)
 		return
 	}
-	b := js.buf.Bytes()
 	h := w.Header()
 	h["Content-Type"] = headerJSON
 	h.Set("Content-Length", strconv.Itoa(len(b)))
@@ -179,7 +188,10 @@ func writeDecision(w http.ResponseWriter, d *cachedDecision, cacheState []string
 	h["X-Cache"] = cacheState
 	h["Content-Length"] = d.clen
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(d.body)
+	_, _ = w.Write(d.head)
+	if len(d.tail) > 0 {
+		_, _ = w.Write(d.tail)
+	}
 }
 
 // answerLicense resolves and answers one decision, with an X-Cache
@@ -368,7 +380,7 @@ func (s *Server) answerBatch(w http.ResponseWriter, r *http.Request, sc *scratch
 		}
 		if d := slots[i].dec; d != nil {
 			body = append(body, `{"decision":`...)
-			body = append(body, d.body[:len(d.body)-1]...)
+			body = d.appendJSON(body)
 			body = append(body, '}')
 		} else {
 			msg, _ := json.Marshal(slots[i].errMsg) // a string always encodes

@@ -65,11 +65,19 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 func (s *Server) middleware(inner http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		seq := s.requests.Add(1)
-		id := r.Header.Get("X-Request-Id")
-		if id == "" {
-			id = strconv.FormatUint(seq, 10)
+		// One inbound ID is echoed as the request's own value slice:
+		// nothing writes into a header's slices, so sharing it allocates
+		// nothing.
+		var id string
+		if v := r.Header["X-Request-Id"]; len(v) == 1 && v[0] != "" {
+			id = v[0]
+			w.Header()["X-Request-Id"] = v
+		} else {
+			if id = r.Header.Get("X-Request-Id"); id == "" {
+				id = strconv.FormatUint(seq, 10)
+			}
+			w.Header().Set("X-Request-Id", id)
 		}
-		w.Header().Set("X-Request-Id", id)
 
 		// /v1/watch is a long-lived event stream and takes a different
 		// path through the stack: no deadline (a stream lives until its

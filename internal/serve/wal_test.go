@@ -175,7 +175,7 @@ type cacheEntry struct {
 func cacheEntries(l *decisionLRU) []cacheEntry {
 	var out []cacheEntry
 	l.forEach(func(key string, d *cachedDecision) {
-		out = append(out, cacheEntry{key: key, body: string(d.body), hash: d.hash})
+		out = append(out, cacheEntry{key: key, body: string(d.head) + string(d.tail), hash: d.hash})
 	})
 	return out
 }

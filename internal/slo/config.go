@@ -63,8 +63,8 @@ func (o Objective) validate() error {
 	if o.Latency < 0 {
 		return fmt.Errorf("slo: negative latency objective %v", o.Latency)
 	}
-	if o.PageBurn < 0 || o.TicketBurn < 0 {
-		return fmt.Errorf("slo: negative burn threshold")
+	if !(o.PageBurn >= 0 && o.TicketBurn >= 0) {
+		return fmt.Errorf("slo: burn threshold negative or NaN")
 	}
 	if o.PageBurn > 0 && o.TicketBurn > 0 && o.PageBurn < o.TicketBurn {
 		return fmt.Errorf("slo: page burn %g below ticket burn %g", o.PageBurn, o.TicketBurn)

@@ -60,6 +60,7 @@ func TestParseRejects(t *testing.T) {
 		"availability=abc",
 		"availability=0.99,latency=fast",
 		"availability=0.99,page=2,ticket=5", // page below ticket
+		"availability=0.99,page=NaN",        // NaN burn
 		"/v1/license availability=0.99",     // route clause missing ':'
 		"off",                               // off without a route
 		"availability",                      // malformed pair
@@ -91,6 +92,51 @@ func TestProfileStringRoundTrip(t *testing.T) {
 			t.Errorf("round trip of %q: %q then %q", spec, s, s2)
 		}
 	}
+}
+
+// FuzzSLOProfileRoundTrip holds String to Parse: for any spec Parse
+// accepts, Parse(String()) succeeds and renders the same String, and the
+// two profiles give every route either names, and one route neither
+// names, the same objective.
+func FuzzSLOProfileRoundTrip(f *testing.F) {
+	for _, spec := range []string{
+		"none",
+		"availability=0.99,latency=100ms",
+		"availability=0.99;/v1/healthz:off",
+		"availability=99.9%;/v1/healthz:off;/v1/license:availability=0.999,latency=50ms,page=10,ticket=3",
+		"/v1/license:availability=0.5,page=+Inf",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		text := p.String()
+		again, err := Parse(text)
+		if err != nil {
+			t.Fatalf("Parse(%q) renders %q, which Parse refuses: %v", spec, text, err)
+		}
+		if got := again.String(); got != text {
+			t.Fatalf("Parse(%q) renders %q, which renders %q", spec, text, got)
+		}
+		unnamed := "/unnamed"
+		for {
+			_, inA := p.Routes[unnamed]
+			_, inB := again.Routes[unnamed]
+			if !inA && !inB {
+				break
+			}
+			unnamed += "/x"
+		}
+		routes := append(append(sortedRoutes(p.Routes), sortedRoutes(again.Routes)...), unnamed)
+		for _, route := range routes {
+			if a, b := p.For(route), again.For(route); a != b {
+				t.Fatalf("%q vs its String %q: route %q has %+v vs %+v", spec, text, route, a, b)
+			}
+		}
+	})
 }
 
 func TestObjectiveDefaults(t *testing.T) {
