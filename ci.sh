@@ -43,18 +43,22 @@ go test -shuffle=on ./... > /dev/null
 echo "== parpool barrier/reduction under -race, repeated =="
 go test -race -count=2 ./internal/parpool/
 
-echo "== request deadline, ctx-aware singleflight, parallel warm start and gateway fetch goroutines under -race, repeated =="
+echo "== request deadline, ctx-aware singleflight, parallel warm start, gateway fetch goroutines, request records and gateway request IDs under -race, repeated =="
 # The waiter that leaves its flight at ctx.Done(), the coalesced herd,
 # the cut wait answered 503, the overrunning fill that keeps its
 # semaphore slot, the warm start that recomputes on a transient worker
 # pool (same cache as a full replay; a key judged by its newest record),
 # and the gateway's parked fetch goroutines (one reused across
 # sequential GETs; hedges, herds and concurrent cold batches run on
-# reused goroutines, and Close releases them), each run ten times under
-# the race detector.
+# reused goroutines, and Close releases them), the one record per request
+# (spans ended on many goroutines and on the batch pool's workers, a
+# pinned record keeping its spans past ring wrap, /v1/traces and
+# /v1/flightrec read from one ring), and a held gateway herd answering
+# each request under its own ID, each run ten times under the race
+# detector.
 go test -race -count=10 \
-	-run '^(TestWaiterLeavesAtContextEnd|TestCoalescedFillsAreByteIdentical|TestCoalescedWaitEndsAtDeadline|TestMaxInFlightBoundsOverrunningFills|TestWarmStartMatchesFullReplay|TestWarmStartJudgesKeyByNewestRecord|TestLauncherReusesOneParkedFetcher|TestLauncherHedgesOnReusedFetchers|TestGatewayHedgeByteIdentity|TestGatewayHerdSingleFill|TestGatewayConcurrentColdBatches)$' \
-	./internal/singleflight/ ./internal/serve/ ./internal/gateway/
+	-run '^(TestWaiterLeavesAtContextEnd|TestCoalescedFillsAreByteIdentical|TestCoalescedWaitEndsAtDeadline|TestMaxInFlightBoundsOverrunningFills|TestWarmStartMatchesFullReplay|TestWarmStartJudgesKeyByNewestRecord|TestLauncherReusesOneParkedFetcher|TestLauncherHedgesOnReusedFetchers|TestGatewayHedgeByteIdentity|TestGatewayHerdSingleFill|TestGatewayConcurrentColdBatches|TestRecordConcurrentSpans|TestSpanDoubleEndAndLateChild|TestBatchRecordAcrossWorkers|TestPinnedRecordKeepsSpansPastRingWrap|TestTracesAndFlightRecReadOneRing|TestGatewayHerdEchoesEachRequestID)$' \
+	./internal/singleflight/ ./internal/obs/ ./internal/serve/ ./internal/gateway/
 
 echo "== bench smoke (one iteration of every benchmark) =="
 go test -run '^$' -bench . -benchtime=1x ./... > /dev/null
@@ -86,6 +90,18 @@ fi
 "$scrapedir/exportctl" -scrape -serve http://localhost:18095 > "$scrapedir/scrape1"
 "$scrapedir/exportctl" -scrape -serve http://localhost:18095 > "$scrapedir/scrape2"
 diff "$scrapedir/scrape1" "$scrapedir/scrape2"
+# Reading the request records never records: two reads each of
+# /v1/traces and /v1/flightrec of the idle daemon are byte-identical, and
+# the traffic above left span trees in them.
+for ep in traces flightrec; do
+	curl -fsS "http://localhost:18095/v1/$ep" > "$scrapedir/${ep}1"
+	curl -fsS "http://localhost:18095/v1/$ep" > "$scrapedir/${ep}2"
+	cmp "$scrapedir/${ep}1" "$scrapedir/${ep}2"
+	if ! grep -q '"spans":\[' "$scrapedir/${ep}1"; then
+		echo "ci.sh: /v1/$ep holds no span trees after traffic" >&2
+		exit 1
+	fi
+done
 kill "$scrapepid"
 scrapepid=""
 
@@ -170,6 +186,9 @@ go test -run '^$' -fuzz 'FuzzSLOProfileRoundTrip$' -fuzztime 3s ./internal/slo >
 
 echo "== cached-decision fuzz smoke (head plus shared tail, against json.Marshal) =="
 go test -run '^$' -fuzz 'FuzzCachedDecisionBytes$' -fuzztime 3s ./internal/serve > /dev/null
+
+echo "== watch-stream fuzz smoke (the client's SSE reader, against encoding/json) =="
+go test -run '^$' -fuzz 'FuzzWatchStream$' -fuzztime 3s ./internal/serve/client > /dev/null
 
 echo "== wal: kill -9 mid-traffic, restart, byte-identical warm answers =="
 # The durability contract, end to end against the real binary: decide a
@@ -376,6 +395,7 @@ b3pid=""
 #   go test -fuzz=FuzzDecisionKeyRoundTrip -fuzztime=30s ./internal/serve
 #   go test -fuzz=FuzzCachedDecisionBytes -fuzztime=30s ./internal/serve
 #   go test -fuzz=FuzzSplitBatchItems -fuzztime=30s ./internal/gateway
+#   go test -fuzz=FuzzWatchStream -fuzztime=30s ./internal/serve/client
 #   go test -fuzz=FuzzFaultProfileRoundTrip -fuzztime=30s ./internal/fault
 #   go test -fuzz=FuzzSLOProfileRoundTrip -fuzztime=30s ./internal/slo
 #   go test -fuzz=FuzzWALRecord -fuzztime=30s ./internal/wal

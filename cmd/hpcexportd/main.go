@@ -14,7 +14,7 @@
 //	hpcexportd -data-dir /var/lib/hpcexportd        # durable decision log + warm start
 //	hpcexportd -data-dir d -fsync every=64 -snapshot-every 4096
 //	hpcexportd -slo availability=0.99,latency=50ms      # burn-rate SLO engine
-//	hpcexportd -flightrec 512          # flight-recorder ring capacity (-1 disables)
+//	hpcexportd -flightrec 512          # request records kept for /v1/flightrec and /v1/traces (-1 disables)
 //	hpcexportd -version                # print build info and exit
 //
 // The daemon drains gracefully on SIGTERM or SIGINT: the listener closes
@@ -53,12 +53,13 @@
 // gains slo_burn_rate / slo_budget_remaining / slo_state gauges, and SLO
 // state transitions are published on /v1/watch when a log is mounted.
 //
-// The flight recorder is always on: a fixed ring of recent request
-// captures, dumpable at GET /v1/flightrec, in which anomalous requests
-// (5xx, over-objective latency, degraded recompute, WAL regime
-// transition) are pinned together with the captures that preceded them
-// so the context survives ring wrap. -flightrec resizes the ring; a
-// negative capacity disables capture entirely.
+// The flight recorder is always on: a fixed ring of recent requests, one
+// record each (capture and span tree), dumped at GET /v1/flightrec and
+// rendered as traces at GET /v1/traces. Anomalous requests (5xx,
+// over-objective latency, degraded recompute, WAL regime transition) are
+// pinned, spans included, with the records that preceded them so the
+// context survives ring wrap. -flightrec resizes the ring (default 256);
+// a negative capacity disables recording and both endpoints.
 //
 // Endpoints (see README "Serving the framework" for curl examples):
 //
@@ -71,7 +72,7 @@
 //	GET  /v1/watch      ?since=N — SSE regime/fault event stream (needs -data-dir)
 //	GET  /metrics       Prometheus text exposition
 //	GET  /v1/metrics    the same registry as JSON
-//	GET  /v1/traces     recent request traces
+//	GET  /v1/traces     span trees of the flight recorder's recent requests
 //	GET  /v1/slo        burn-rate evaluation (needs -slo)
 //	GET  /v1/flightrec  flight-recorder captures and pinned anomalies
 package main
@@ -105,7 +106,6 @@ func main() {
 		batch     = flag.Int("batch", serve.DefaultMaxBatch, "largest accepted license batch")
 		cache     = flag.Int("cache", serve.DefaultCacheSize, "entries per LRU cache")
 		drain     = flag.Duration("drain", serve.DefaultDrainTimeout, "shutdown drain window")
-		traces    = flag.Int("traces", serve.DefaultTraceCapacity, "completed traces kept for /v1/traces; negative disables tracing")
 		quiet     = flag.Bool("quiet", false, "disable per-request logging")
 		faultSeed = flag.Uint64("fault-seed", 0, "seed for the deterministic fault schedule (with -fault-profile)")
 		faultSpec = flag.String("fault-profile", "", "fault profile: none, flaky, slow, chaos, or an error=/latency=/delay=/poison= spec; empty disables injection")
@@ -113,7 +113,7 @@ func main() {
 		fsyncSpec = flag.String("fsync", "always", "decision-log durability barrier: always, never, or every=N (with -data-dir)")
 		snapEvery = flag.Int("snapshot-every", serve.DefaultSnapshotEvery, "decision commits between snapshot compactions (with -data-dir)")
 		sloSpec   = flag.String("slo", "", "SLO profile, e.g. availability=0.999,latency=50ms;/v1/healthz:off; empty disables the burn-rate engine")
-		flightCap = flag.Int("flightrec", 0, "flight-recorder ring capacity; 0 uses the default, negative disables capture")
+		flightCap = flag.Int("flightrec", 0, "request records kept for /v1/flightrec and /v1/traces; 0 uses the default (256), negative disables both")
 		version   = flag.Bool("version", false, "print build information and exit")
 	)
 	flag.Parse()
@@ -187,7 +187,6 @@ func main() {
 		MaxBatch:       *batch,
 		CacheSize:      *cache,
 		DrainTimeout:   *drain,
-		TraceCapacity:  *traces,
 		Clock:          time.Now,
 		Logger:         logger,
 		Fault:          plan,

@@ -68,8 +68,9 @@ func (g *Gateway) scatterGather(w http.ResponseWriter, r *http.Request, reqs []s
 
 	// One shard holds the whole batch: forward the original bytes — the
 	// answer passes through untouched.
+	id := w.Header()["X-Request-Id"]
 	if len(order) == 1 {
-		res, err := g.forwardKeyed(r.Context(), order[0].key, http.MethodPost, "/v1/license", rawBody, r.Header, "")
+		res, err := g.forwardKeyed(r.Context(), order[0].key, http.MethodPost, "/v1/license", rawBody, id, "")
 		if err != nil {
 			writeError(w, http.StatusBadGateway, "gateway: %v", err)
 			return
@@ -85,7 +86,7 @@ func (g *Gateway) scatterGather(w http.ResponseWriter, r *http.Request, reqs []s
 		wg.Add(1)
 		g.launch(func() {
 			defer wg.Done()
-			g.fetchShard(r.Context(), sh, r.Header)
+			g.fetchShard(r.Context(), sh, id)
 		})
 	}
 	wg.Wait()
@@ -124,13 +125,13 @@ func (g *Gateway) scatterGather(w http.ResponseWriter, r *http.Request, reqs []s
 
 // fetchShard forwards one shard's sub-batch to its owner and splits a
 // 200 answer into per-item bytes. A failure lands in sh.err.
-func (g *Gateway) fetchShard(ctx context.Context, sh *batchShard, inbound http.Header) {
+func (g *Gateway) fetchShard(ctx context.Context, sh *batchShard, id []string) {
 	body, err := encodeBatch(sh.reqs)
 	if err != nil {
 		sh.err = err
 		return
 	}
-	sh.res, sh.err = g.forwardKeyed(ctx, sh.key, http.MethodPost, "/v1/license", body, inbound, "")
+	sh.res, sh.err = g.forwardKeyed(ctx, sh.key, http.MethodPost, "/v1/license", body, id, "")
 	if sh.err != nil || sh.res.status != http.StatusOK {
 		return
 	}

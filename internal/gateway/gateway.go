@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
 // Defaults applied by New to zero Config fields.
@@ -397,31 +398,32 @@ func selfObserved(path string) bool {
 	return false
 }
 
-// middleware counts admitted requests and records each routed request
-// into the flight recorder.
+// middleware counts admitted requests, answers each under the request ID
+// the gateway owns (serve.RequestID over its admission counter, minted as
+// "gw-N"), which every backend exchange for the request forwards, and
+// records each routed request into the flight recorder.
 func (g *Gateway) middleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if selfObserved(r.URL.Path) {
 			next.ServeHTTP(w, r)
 			return
 		}
-		g.requests.Add(1)
 		g.requestsC.Inc()
+		id := serve.RequestID(r.Header, "gw-", g.requests.Add(1))
+		w.Header()["X-Request-Id"] = id
 		if g.flightrec == nil {
 			next.ServeHTTP(w, r)
 			return
 		}
-		cs := obs.NewCaptureState(r.Method, r.URL.Path, r.Header.Get("X-Request-Id"))
-		r = r.WithContext(obs.WithCaptureState(r.Context(), cs))
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		begin := g.clock()
-		next.ServeHTTP(sw, r)
-		durNs := g.clock().Sub(begin).Nanoseconds()
+		ctx, rec := g.flightrec.Open(r.Context(), g.clock, begin, r.Method, serve.RouteOf(r.URL.Path), id[0])
+		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		next.ServeHTTP(sw, r.WithContext(ctx))
 		var anomalies []string
 		if sw.code >= http.StatusInternalServerError {
 			anomalies = []string{"gateway:5xx"}
 		}
-		g.flightrec.Record(cs.Finish(sw.code, uint64(durNs), "", false, anomalies))
+		rec.Seal(sw.code, uint64(g.clock().Sub(begin)), "", "", false, anomalies)
 	})
 }
 

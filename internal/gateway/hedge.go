@@ -10,12 +10,6 @@ import (
 	"repro/internal/obs"
 )
 
-// requestCapture returns the flight-recorder capture state travelling in
-// the request context (nil-safe: every CaptureState method accepts nil).
-func requestCapture(r *http.Request) *obs.CaptureState {
-	return obs.CaptureStateFrom(r.Context())
-}
-
 // hedgeAnswer is one fetch's outcome in a hedge race, tagged with the
 // owner the fetch started at.
 type hedgeAnswer struct {
@@ -53,7 +47,7 @@ func (g *Gateway) hedgeDelay(owner string) time.Duration {
 // coalesced waiters sharing this fill do not die with the leader's
 // request, and the losing replica completes for verification even after
 // the winner is already written.
-func (g *Gateway) hedgedFetch(ctx context.Context, key, method, uri string, body []byte, inbound http.Header) (*proxyResult, error) {
+func (g *Gateway) hedgedFetch(ctx context.Context, key, method, uri string, body []byte, id []string) (*proxyResult, error) {
 	fctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), g.cfg.ForwardTimeout)
 	var ownerBuf [2]string
 	owners := g.appendHealthyOwners(ownerBuf[:0], key, 2)
@@ -62,7 +56,7 @@ func (g *Gateway) hedgedFetch(ctx context.Context, key, method, uri string, body
 	ch := make(chan hedgeAnswer, 2)
 	fetch := func(exclude, from string) {
 		g.launch(func() {
-			res, err := g.forwardKeyed(fctx, key, method, uri, body, inbound, exclude)
+			res, err := g.forwardKeyed(fctx, key, method, uri, body, id, exclude)
 			ch <- hedgeAnswer{res: res, err: err, from: from}
 		})
 	}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/singleflight"
 )
@@ -30,8 +31,8 @@ type proxyResult struct {
 }
 
 // forwardHeaders are the backend headers a proxied response keeps. The
-// gateway adds X-Gw-Backend so tests and operators can see routing.
-var forwardHeaders = []string{"Content-Type", "X-Cache", "X-Degraded", "X-Fault-Injected", "X-Request-Id"}
+// gateway adds X-Gw-Backend, and the middleware its own X-Request-Id.
+var forwardHeaders = []string{"Content-Type", "X-Cache", "X-Degraded", "X-Fault-Injected"}
 
 // writeProxyResult writes a backend answer. The forwarded headers keep
 // the backend's own value slices, shared by every waiter on the answer;
@@ -67,9 +68,9 @@ func retryableStatus(code int) bool {
 	return false
 }
 
-// forwardOnce performs one exchange with one backend, buffering the
-// answer and charging the backend's instruments.
-func (g *Gateway) forwardOnce(ctx context.Context, b *backend, method, uri string, body []byte, inbound http.Header) (*proxyResult, error) {
+// forwardOnce performs one exchange with one backend under the request
+// ID id, buffering the answer and charging the backend's instruments.
+func (g *Gateway) forwardOnce(ctx context.Context, b *backend, method, uri string, body []byte, id []string) (*proxyResult, error) {
 	var rd io.Reader
 	if len(body) > 0 {
 		rd = bytes.NewReader(body)
@@ -81,7 +82,7 @@ func (g *Gateway) forwardOnce(ctx context.Context, b *backend, method, uri strin
 	if len(body) > 0 {
 		req.Header["Content-Type"] = headerJSON
 	}
-	if id := inbound["X-Request-Id"]; len(id) > 0 {
+	if len(id) > 0 {
 		req.Header["X-Request-Id"] = id
 	}
 	b.requests.Inc()
@@ -164,7 +165,7 @@ func (g *Gateway) appendHealthyOwners(dst []string, key string, n int) []string 
 // owner is retried after a pause — moving the key would hand a second
 // backend a cold fill the first already owns. exclude pre-excludes one
 // member (the hedge path excludes the primary).
-func (g *Gateway) forwardKeyed(ctx context.Context, key, method, uri string, body []byte, inbound http.Header, exclude string) (*proxyResult, error) {
+func (g *Gateway) forwardKeyed(ctx context.Context, key, method, uri string, body []byte, id []string, exclude string) (*proxyResult, error) {
 	var excluded map[string]bool
 	if exclude != "" {
 		excluded = map[string]bool{exclude: true}
@@ -179,7 +180,7 @@ func (g *Gateway) forwardKeyed(ctx context.Context, key, method, uri string, bod
 			}
 			break
 		}
-		res, err := g.forwardOnce(ctx, b, method, uri, body, inbound)
+		res, err := g.forwardOnce(ctx, b, method, uri, body, id)
 		if err != nil {
 			lastErr = err
 			if ctx.Err() != nil {
@@ -229,12 +230,12 @@ func (f *flightGroup) waitersFor(key string) int { return f.Waiters(key) }
 // first (a herd on one key costs one fetch), then a hedged fetch by the
 // leader.
 func (g *Gateway) serveKeyed(w http.ResponseWriter, r *http.Request, key []byte, method, uri string, body []byte) {
-	requestCapture(r).SetKey(key)
+	obs.RecordFrom(r.Context()).SetKey(key)
 	res, coalesced, err := g.flights.Do(r.Context(), key, func(key string) (*proxyResult, error) {
 		if g.flightBarrier != nil {
 			g.flightBarrier(key)
 		}
-		return g.hedgedFetch(r.Context(), key, method, uri, body, r.Header)
+		return g.hedgedFetch(r.Context(), key, method, uri, body, w.Header()["X-Request-Id"])
 	})
 	if coalesced {
 		g.flightCoalesced.Inc()
@@ -297,7 +298,7 @@ func (g *Gateway) handleLicensePost(w http.ResponseWriter, r *http.Request) {
 // backend's memo instead of all of them.
 func (g *Gateway) proxyByURI(w http.ResponseWriter, r *http.Request, body []byte) {
 	uri := r.URL.RequestURI()
-	res, err := g.forwardKeyed(r.Context(), uri, r.Method, uri, body, r.Header, "")
+	res, err := g.forwardKeyed(r.Context(), uri, r.Method, uri, body, w.Header()["X-Request-Id"], "")
 	if err != nil {
 		writeError(w, http.StatusBadGateway, "gateway: %v", err)
 		return

@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestRecorderRingWrapPreservesPins(t *testing.T) {
@@ -136,38 +138,65 @@ func TestRecorderConcurrent(t *testing.T) {
 	}
 }
 
-func TestCaptureStateNilSafe(t *testing.T) {
-	var cs *CaptureState
-	cs.SetKey([]byte("k"))
-	cs.SetWAL("committed")
-	cs.SetBreaker("open")
-	if c := cs.Finish(200, 1, "", false, nil); !reflect.DeepEqual(c, Capture{}) {
-		t.Errorf("nil Finish = %+v, want zero Capture", c)
-	}
-	if got := CaptureStateFrom(context.Background()); got != nil {
-		t.Errorf("CaptureStateFrom(empty ctx) = %v, want nil", got)
+func TestRecordNilSafe(t *testing.T) {
+	var rec *Record
+	rec.SetKey([]byte("k"))
+	rec.SetWAL("committed")
+	rec.SetBreaker("open")
+	rec.AddAnomaly("regime-transition")
+	rec.Seal(200, 1, "", "", false, nil)
+	if got := RecordFrom(context.Background()); got != nil {
+		t.Errorf("RecordFrom(empty ctx) = %v, want nil", got)
 	}
 }
 
-func TestCaptureStateAnnotatesAndCopiesKey(t *testing.T) {
-	cs := NewCaptureState("GET", "/v1/license", "t-1")
-	ctx := WithCaptureState(context.Background(), cs)
-	got := CaptureStateFrom(ctx)
-	if got != cs {
-		t.Fatalf("ctx round-trip lost the capture state")
+// TestOpenKeepsMethodBounded: the capture keeps a method as a constant
+// or a short copy, never the request line a server's method is cut from.
+func TestOpenKeepsMethodBounded(t *testing.T) {
+	r := NewRecorder(4)
+	line := "GET /v1/license?ctp=500 HTTP/1.1"
+	for _, tc := range []struct{ method, want string }{
+		{line[:3], "GET"},
+		{"PUT", "PUT"},
+		{"OPTIONS", "OPTIONS"},
+		{strings.Repeat("X", 4096), "other"},
+	} {
+		_, rec := r.Open(context.Background(), scriptClock(), time.Time{}, tc.method, "/v1/license", "")
+		rec.Seal(405, 1, "", "", false, nil)
+		caps, _ := r.Snapshot()
+		if got := caps[0].Method; got != tc.want {
+			t.Errorf("method %.10q recorded as %.10q, want %q", tc.method, got, tc.want)
+		}
+	}
+}
+
+func TestRecordAnnotatesAndCopiesKey(t *testing.T) {
+	r := NewRecorder(4)
+	start := time.Unix(800000000, 0)
+	ctx, rec := r.Open(context.Background(), scriptClock(), start, "GET", "/v1/license", "t-1")
+	got := RecordFrom(ctx)
+	if got != rec {
+		t.Fatalf("ctx round-trip lost the record")
 	}
 	key := []byte("alpha")
 	got.SetKey(key)
 	key[0] = 'X'                 // the capture must have copied, not aliased
 	got.SetKey([]byte("second")) // first key wins
 	got.SetWAL("committed")
-	c := got.Finish(200, 1234, "error", true, []string{"degraded"})
+	got.AddAnomaly("regime-transition")
+	got.Seal(200, 1234, "miss", "poison", true, []string{"degraded"})
+	got.SetBreaker("late") // after the seal: not recorded
+	caps, pins := r.Snapshot()
 	want := Capture{
-		TraceID: "t-1", Method: "GET", Route: "/v1/license", Key: "alpha",
-		Status: 200, LatencyNs: 1234, Fault: "error", Degraded: true,
-		WAL: "committed", Anomalies: []string{"degraded"},
+		Seq: 1, TraceID: "t-1", Method: "GET", Route: "/v1/license", Key: "alpha",
+		StartNs: start.UnixNano(), Status: 200, LatencyNs: 1234, Cache: "miss",
+		Fault: "poison", Degraded: true, WAL: "committed",
+		Anomalies: []string{"regime-transition", "degraded"},
 	}
-	if !reflect.DeepEqual(c, want) {
-		t.Errorf("Finish = %+v, want %+v", c, want)
+	if len(caps) != 1 || !reflect.DeepEqual(caps[0], want) {
+		t.Errorf("sealed capture = %+v, want %+v", caps, want)
+	}
+	if len(pins) != 1 || pins[0].Trigger != "request:regime-transition" {
+		t.Errorf("pins = %+v, want one pinned by the first anomaly", pins)
 	}
 }

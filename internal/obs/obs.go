@@ -1,9 +1,10 @@
 // Package obs is the repository's zero-dependency observability layer:
 // lock-free counters, gauges, and fixed-bucket histograms behind a
 // registry with deterministic Prometheus-format text exposition and a
-// JSON snapshot API, a lightweight context-propagated span tracer with a
-// ring buffer of recent traces, build-info reporting, and an adapter that
-// turns parpool's per-superstep Observer callbacks into metrics.
+// JSON snapshot API, a flight recorder that keeps one record per request
+// (its capture and its context-propagated span tree) in a ring of recent
+// requests, build-info reporting, and an adapter that turns parpool's
+// per-superstep Observer callbacks into metrics.
 //
 // Everything here obeys the repository's determinism contract:
 // instrumentation never changes what is computed, only what is recorded

@@ -2,7 +2,7 @@ package obs
 
 import (
 	"context"
-	"sync"
+	"strconv"
 	"time"
 )
 
@@ -13,8 +13,8 @@ type Attr struct {
 }
 
 // SpanRecord is one completed span as it appears in a Trace. IDs are
-// per-trace counters assigned in creation order (the root is always 1),
-// not random — the tracer inherits the repository's determinism contract,
+// per-request counters assigned in creation order (the root is always
+// 1), not random — spans inherit the repository's determinism contract,
 // so identical request sequences against a scripted clock produce
 // identical traces.
 type SpanRecord struct {
@@ -26,210 +26,141 @@ type SpanRecord struct {
 	Attrs   []Attr `json:"attrs,omitempty"`
 }
 
-// Trace is one completed request: the root span and every child span
-// started under it, ordered by span ID (creation order).
+// Trace is one request's span tree: the root span and every span that
+// ended under it before the request's record was sealed, ordered by span
+// ID (creation order).
 type Trace struct {
 	TraceID string       `json:"traceId"`
 	Spans   []SpanRecord `json:"spans"`
 }
 
-// traceState is the shared mutable state of one in-progress trace.
-type traceState struct {
-	mu    sync.Mutex
-	id    string
-	next  uint64
-	spans []SpanRecord // completed spans, appended at End
-}
+// maxSpans bounds the spans one record keeps: a batch starts one
+// evaluation span per missed item, and the ring keeps every record.
+// Spans past the bound still time their work but are not kept.
+const maxSpans = 32
 
-// Span is one in-progress operation. A nil *Span is valid and inert, so
-// callers annotate and End unconditionally. A Span's SetAttr and End are
-// meant for the goroutine that started it; sibling spans of one trace may
-// run concurrently.
-//
-// The first few attributes live in a fixed inline array and are copied
-// into the record only at End, so annotating a span on the request hot
-// path allocates once (the exact-size slice), not per attribute.
+// Span is one in-progress operation under a request's record. Child and
+// StartSpan return it by value; a Span started without an open record in
+// the context (no recorder, an unrecorded route, or a sealed record) is
+// inert, so callers annotate and End unconditionally. A Span's SetAttr
+// and End are meant for the goroutine that started it; sibling spans of
+// one record may run concurrently.
 type Span struct {
-	t      *Tracer
-	state  *traceState
-	rec    SpanRecord
-	start  time.Time
-	ended  bool
-	nattrs int
-	attrs  [4]Attr
+	rec   *Record
+	start time.Time
+	sr    SpanRecord
 }
 
-// Tracer captures traces into a fixed-capacity ring buffer of the most
-// recent completed traces. A nil *Tracer is valid and disables tracing
-// entirely: StartRoot and StartSpan return nil spans and no clock is ever
-// read.
-type Tracer struct {
-	clock func() time.Time
-
-	mu   sync.Mutex
-	ring []Trace
-	pos  int // next slot to overwrite
-	n    int // traces stored, ≤ len(ring)
+// spanScope is what StartSpan's context carries: the record and the span
+// that new children hang from. Open's context carries the *Record
+// itself, whose children hang from the root.
+type spanScope struct {
+	rec    *Record
+	parent uint64
 }
 
-// NewTracer returns a tracer keeping the last capacity completed traces,
-// timed by the injected clock. A capacity below one or a nil clock
-// returns nil — the disabled tracer.
-func NewTracer(capacity int, clock func() time.Time) *Tracer {
-	if capacity < 1 || clock == nil {
-		return nil
+// scopeOf returns the record carried by ctx and the ID of the span a
+// child started there hangs from.
+func scopeOf(ctx context.Context) (*Record, uint64) {
+	switch v := ctx.Value(recordKey{}).(type) {
+	case *Record:
+		return v, 1
+	case *spanScope:
+		return v.rec, v.parent
 	}
-	return &Tracer{clock: clock, ring: make([]Trace, capacity)}
+	return nil, 0
 }
 
-// ctxKey carries the current *Span through a context.
-type ctxKey struct{}
-
-// rootBlock packs a root span and its trace state into one allocation.
-type rootBlock struct {
-	span  Span
-	state traceState
-}
-
-// StartRoot begins a new trace and its root span, returning a context
-// that carries the span for StartSpan callees. End on the root span
-// completes the trace and commits it to the ring.
-func (t *Tracer) StartRoot(ctx context.Context, traceID, name string) (context.Context, *Span) {
-	if t == nil {
-		return ctx, nil
+// startSpan begins a child of span parent, or returns the inert span
+// when rec is nil or sealed.
+func (rec *Record) startSpan(parent uint64, name string) Span {
+	if rec == nil {
+		return Span{}
 	}
-	rb := &rootBlock{state: traceState{id: traceID, next: 2}}
-	rb.state.spans = make([]SpanRecord, 0, 4)
-	s := &rb.span
-	s.t = t
-	s.state = &rb.state
-	s.rec = SpanRecord{ID: 1, Name: name}
-	s.start = t.clock()
-	return context.WithValue(ctx, ctxKey{}, s), s
-}
-
-// startChild begins a child of parent, or returns the inert nil span
-// when there is no live parent.
-func startChild(parent *Span, name string) *Span {
-	if parent == nil || parent.ended {
-		return nil
+	rec.mu.Lock()
+	if rec.sealed {
+		rec.mu.Unlock()
+		return Span{}
 	}
-	st := parent.state
-	st.mu.Lock()
-	id := st.next
-	st.next++
-	st.mu.Unlock()
-	return &Span{
-		t:     parent.t,
-		state: st,
-		rec:   SpanRecord{ID: id, Parent: parent.rec.ID, Name: name},
-		start: parent.t.clock(),
-	}
+	id := rec.next
+	rec.next++
+	rec.mu.Unlock()
+	now := rec.clock()
+	return Span{rec: rec, start: now, sr: SpanRecord{ID: id, Parent: parent, Name: name, StartNs: now.UnixNano()}}
 }
 
 // StartSpan begins a child of the span carried by ctx, returning a
-// context carrying the child. Without a span in ctx (tracing disabled, or
-// an untraced entry point) it returns ctx and a nil — inert — span.
-func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	s := startChild(spanFrom(ctx), name)
-	if s == nil {
-		return ctx, nil
+// context under which further children hang from it.
+func StartSpan(ctx context.Context, name string) (context.Context, Span) {
+	rec, parent := scopeOf(ctx)
+	s := rec.startSpan(parent, name)
+	if s.rec == nil {
+		return ctx, s
 	}
-	return context.WithValue(ctx, ctxKey{}, s), s
+	return context.WithValue(ctx, recordKey{}, &spanScope{rec: rec, parent: s.sr.ID}), s
 }
 
 // Child begins a child of the span carried by ctx without deriving a new
 // context — the cheaper call for leaf operations that start no spans of
 // their own.
-func Child(ctx context.Context, name string) *Span {
-	return startChild(spanFrom(ctx), name)
+func Child(ctx context.Context, name string) Span {
+	rec, parent := scopeOf(ctx)
+	return rec.startSpan(parent, name)
 }
 
-// spanFrom extracts the current span from ctx, nil when absent.
-func spanFrom(ctx context.Context) *Span {
-	s, _ := ctx.Value(ctxKey{}).(*Span)
-	return s
-}
-
-// SetAttr annotates the span. Calling it on a nil or ended span is a
-// no-op.
+// SetAttr annotates the span. On an inert or ended span it does nothing.
 func (s *Span) SetAttr(key, value string) {
-	if s == nil || s.ended {
-		return
+	if s.rec != nil {
+		s.sr.Attrs = append(s.sr.Attrs, Attr{Key: key, Value: value})
 	}
-	if s.nattrs < len(s.attrs) {
-		s.attrs[s.nattrs] = Attr{Key: key, Value: value}
-		s.nattrs++
-		return
-	}
-	s.rec.Attrs = append(s.rec.Attrs, Attr{Key: key, Value: value})
 }
 
-// End completes the span. Ending the root span assembles the trace —
-// every span that has Ended, ordered by ID — and commits it to the
-// tracer's ring; children that End after their root are dropped. End on a
-// nil span is a no-op; a second End does nothing.
+// End completes the span and adds it to its record, unless the record
+// was sealed first. On an inert span, or a second time, it does nothing.
 func (s *Span) End() {
-	if s == nil || s.ended {
+	rec := s.rec
+	if rec == nil {
 		return
 	}
-	s.ended = true
-	end := s.t.clock()
-	s.rec.StartNs = s.start.UnixNano()
-	s.rec.DurNs = int64(end.Sub(s.start))
-	if s.nattrs > 0 {
-		attrs := make([]Attr, 0, s.nattrs+len(s.rec.Attrs))
-		attrs = append(attrs, s.attrs[:s.nattrs]...)
-		attrs = append(attrs, s.rec.Attrs...)
-		s.rec.Attrs = attrs
+	s.rec = nil
+	s.sr.DurNs = int64(rec.clock().Sub(s.start))
+	rec.mu.Lock()
+	if !rec.sealed && len(rec.c.Spans) < maxSpans {
+		rec.c.Spans = append(rec.c.Spans, s.sr)
 	}
+	rec.mu.Unlock()
+}
 
-	st := s.state
-	st.mu.Lock()
-	st.spans = append(st.spans, s.rec)
-	root := s.rec.Parent == 0
-	var done []SpanRecord
-	if root {
-		done = st.spans
-		st.spans = nil
+// Trace renders the capture as its request's span tree. The root span
+// (ID 1) is the capture itself: named for its method and route, timed by
+// its start and latency, with its status, cache state, injected fault
+// and a recovered panic (the "panic" anomaly) as attributes.
+func (c *Capture) Trace() Trace {
+	root := SpanRecord{ID: 1, Name: c.Method + " " + c.Route, StartNs: c.StartNs, DurNs: int64(c.LatencyNs)}
+	root.Attrs = append(root.Attrs, Attr{Key: "status", Value: strconv.Itoa(c.Status)})
+	if c.Cache != "" {
+		root.Attrs = append(root.Attrs, Attr{Key: "cache", Value: c.Cache})
 	}
-	st.mu.Unlock()
-	if !root {
-		return
+	if c.Fault != "" {
+		root.Attrs = append(root.Attrs, Attr{Key: "fault", Value: c.Fault})
 	}
-	// Spans End in near-ID order; an insertion sort costs nothing here
-	// where sort.Slice would allocate on every commit.
-	for i := 1; i < len(done); i++ {
-		for j := i; j > 0 && done[j-1].ID > done[j].ID; j-- {
-			done[j], done[j-1] = done[j-1], done[j]
+	for _, a := range c.Anomalies {
+		if a == "panic" {
+			root.Attrs = append(root.Attrs, Attr{Key: "panic", Value: "true"})
+			break
 		}
 	}
-	s.t.commit(Trace{TraceID: st.id, Spans: done})
+	return Trace{TraceID: c.TraceID, Spans: append([]SpanRecord{root}, c.Spans...)}
 }
 
-// commit stores one completed trace, overwriting the oldest when full.
-func (t *Tracer) commit(tr Trace) {
-	t.mu.Lock()
-	t.ring[t.pos] = tr
-	t.pos = (t.pos + 1) % len(t.ring)
-	if t.n < len(t.ring) {
-		t.n++
-	}
-	t.mu.Unlock()
-}
-
-// Recent returns the completed traces, newest first. A nil tracer returns
-// nil.
-func (t *Tracer) Recent() []Trace {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Trace, 0, t.n)
-	for i := 0; i < t.n; i++ {
-		idx := (t.pos - 1 - i + len(t.ring)) % len(t.ring)
-		out = append(out, t.ring[idx])
+// Traces renders the live ring's captures as traces, newest first.
+func (r *Recorder) Traces() []Trace {
+	r.mu.Lock()
+	caps := r.liveLocked()
+	r.mu.Unlock()
+	out := make([]Trace, len(caps))
+	for i := range caps {
+		out[i] = caps[i].Trace()
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,20 +19,27 @@ func scriptClock() func() time.Time {
 	}
 }
 
+// openAt opens a record on r timed by clock, as the middleware does.
+func openAt(r *Recorder, clock func() time.Time, traceID string) (context.Context, *Record, time.Time) {
+	start := clock()
+	ctx, rec := r.Open(context.Background(), clock, start, "GET", "/v1/license", traceID)
+	return ctx, rec, start
+}
+
 func TestTraceNestingAndOrder(t *testing.T) {
-	tr := NewTracer(4, scriptClock())
-	ctx, root := tr.StartRoot(context.Background(), "req-1", "GET /v1/license")
-	root.SetAttr("path", "/v1/license?ctp=1")
+	clock := scriptClock()
+	r := NewRecorder(4)
+	ctx, rec, start := openAt(r, clock, "req-1")
 	cctx, child := StartSpan(ctx, "cache.lookup")
 	child.SetAttr("result", "miss")
 	_, grand := StartSpan(cctx, "compute")
 	grand.End()
 	child.End()
-	root.End()
+	rec.Seal(200, uint64(clock().Sub(start)), "miss", "", false, nil)
 
-	got := tr.Recent()
+	got := r.Traces()
 	if len(got) != 1 {
-		t.Fatalf("Recent() = %d traces, want 1", len(got))
+		t.Fatalf("Traces() = %d traces, want 1", len(got))
 	}
 	trace := got[0]
 	if trace.TraceID != "req-1" || len(trace.Spans) != 3 {
@@ -54,62 +62,144 @@ func TestTraceNestingAndOrder(t *testing.T) {
 			t.Errorf("span %s duration %d", s.Name, s.DurNs)
 		}
 	}
-	if trace.Spans[0].DurNs <= trace.Spans[1].DurNs {
+	if trace.Spans[0].DurNs <= trace.Spans[1].DurNs || trace.Spans[0].StartNs >= trace.Spans[1].StartNs {
 		t.Error("root does not enclose its child")
 	}
 	if len(trace.Spans[1].Attrs) != 1 || trace.Spans[1].Attrs[0] != (Attr{Key: "result", Value: "miss"}) {
 		t.Errorf("child attrs = %+v", trace.Spans[1].Attrs)
 	}
+	want := []Attr{{Key: "status", Value: "200"}, {Key: "cache", Value: "miss"}}
+	if got := trace.Spans[0].Attrs; len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Errorf("root attrs = %+v, want %+v", got, want)
+	}
+}
+
+// TestTraceRootAttrsFromCapture: the root span's attributes are the
+// capture's own fields, so a fact is stored once and rendered twice.
+func TestTraceRootAttrsFromCapture(t *testing.T) {
+	c := Capture{TraceID: "x", Method: "POST", Route: "/v1/license", StartNs: 5, Status: 503,
+		LatencyNs: 7, Fault: "error", Anomalies: []string{"panic", "5xx"}}
+	tr := c.Trace()
+	root := tr.Spans[0]
+	if root.Name != "POST /v1/license" || root.StartNs != 5 || root.DurNs != 7 {
+		t.Errorf("root = %+v", root)
+	}
+	want := []Attr{{Key: "status", Value: "503"}, {Key: "fault", Value: "error"}, {Key: "panic", Value: "true"}}
+	if len(root.Attrs) != len(want) {
+		t.Fatalf("root attrs = %+v, want %+v", root.Attrs, want)
+	}
+	for i := range want {
+		if root.Attrs[i] != want[i] {
+			t.Errorf("root attr %d = %+v, want %+v", i, root.Attrs[i], want[i])
+		}
+	}
 }
 
 func TestTraceRingWraps(t *testing.T) {
-	tr := NewTracer(3, scriptClock())
+	clock := scriptClock()
+	r := NewRecorder(3)
 	for i := 0; i < 5; i++ {
-		_, root := tr.StartRoot(context.Background(), fmt.Sprintf("req-%d", i), "op")
-		root.End()
+		_, rec, _ := openAt(r, clock, fmt.Sprintf("req-%d", i))
+		rec.Seal(200, 1, "", "", false, nil)
 	}
-	got := tr.Recent()
+	got := r.Traces()
 	if len(got) != 3 {
 		t.Fatalf("ring kept %d traces, want 3", len(got))
 	}
 	for i, want := range []string{"req-4", "req-3", "req-2"} { // newest first
 		if got[i].TraceID != want {
-			t.Errorf("Recent()[%d] = %s, want %s", i, got[i].TraceID, want)
+			t.Errorf("Traces()[%d] = %s, want %s", i, got[i].TraceID, want)
 		}
 	}
 }
 
-func TestTracerDisabled(t *testing.T) {
-	if NewTracer(0, scriptClock()) != nil || NewTracer(4, nil) != nil {
-		t.Fatal("invalid tracer configs did not disable tracing")
+func TestRecordDisabled(t *testing.T) {
+	var r *Recorder
+	base := context.Background()
+	ctx, rec := r.Open(base, scriptClock(), time.Time{}, "GET", "/v1/license", "x")
+	if rec != nil || ctx != base {
+		t.Fatal("nil recorder opened a live record")
 	}
-	var tr *Tracer
-	ctx, root := tr.StartRoot(context.Background(), "x", "op")
-	if root != nil {
-		t.Fatal("nil tracer returned a live span")
+	cctx, child := StartSpan(ctx, "child")
+	if child.rec != nil || cctx != ctx {
+		t.Fatal("span under no record is live")
 	}
-	_, child := StartSpan(ctx, "child")
 	child.SetAttr("k", "v")
 	child.End()
-	root.SetAttr("k", "v")
-	root.End()
-	if tr.Recent() != nil {
-		t.Error("nil tracer captured traces")
+	leaf := Child(ctx, "leaf")
+	leaf.End()
+	rec.Seal(200, 1, "", "", false, nil)
+	if RecordFrom(ctx) != nil {
+		t.Error("RecordFrom found a record in a context without one")
 	}
 }
 
 func TestSpanDoubleEndAndLateChild(t *testing.T) {
-	tr := NewTracer(2, scriptClock())
-	ctx, root := tr.StartRoot(context.Background(), "a", "op")
+	r := NewRecorder(2)
+	ctx, rec, _ := openAt(r, scriptClock(), "a")
 	_, child := StartSpan(ctx, "slow")
-	root.End()
-	root.End()  // idempotent
-	child.End() // after the root: dropped, must not corrupt the ring
-	if _, late := StartSpan(ctx, "post"); late != nil {
-		t.Error("span started under an ended root should be inert")
+	rec.Seal(200, 1, "", "", false, nil)
+	rec.Seal(500, 2, "", "", false, []string{"5xx"}) // idempotent
+	child.End()                                      // after the seal: dropped, must not corrupt the ring
+	child.End()
+	if _, late := StartSpan(ctx, "post"); late.rec != nil {
+		t.Error("span started under a sealed record should be inert")
 	}
-	got := tr.Recent()
+	got := r.Traces()
 	if len(got) != 1 || len(got[0].Spans) != 1 {
 		t.Fatalf("trace after late child = %+v", got)
+	}
+	caps, pins := r.Snapshot()
+	if caps[0].Status != 200 || len(pins) != 0 {
+		t.Errorf("second seal changed the capture: %+v, %d pins", caps[0], len(pins))
+	}
+}
+
+// TestRecordKeepsAtMostMaxSpans: a batch's per-item spans cannot grow
+// one record without bound.
+func TestRecordKeepsAtMostMaxSpans(t *testing.T) {
+	r := NewRecorder(1)
+	ctx, rec, _ := openAt(r, scriptClock(), "batch")
+	for i := 0; i < 3*maxSpans; i++ {
+		s := Child(ctx, "safeguards.evaluate")
+		s.End()
+	}
+	rec.Seal(200, 1, "", "", false, nil)
+	caps, _ := r.Snapshot()
+	if n := len(caps[0].Spans); n != maxSpans {
+		t.Errorf("record kept %d spans, want %d", n, maxSpans)
+	}
+}
+
+// TestRecordConcurrentSpans: sibling spans of one record start and end
+// on many goroutines, as batch fills do on the pool's workers; the
+// sealed capture holds each once, in ID order. Meaningful under -race.
+func TestRecordConcurrentSpans(t *testing.T) {
+	const workers, each = 4, 6
+	r := NewRecorder(2)
+	ctx, rec, _ := openAt(r, scriptClock(), "par")
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				s := Child(ctx, "safeguards.evaluate")
+				RecordFrom(ctx).SetWAL("committed")
+				s.End()
+			}
+		}()
+	}
+	wg.Wait()
+	rec.Seal(200, 1, "", "", false, nil)
+	caps, _ := r.Snapshot()
+	spans := caps[0].Spans
+	if len(spans) != workers*each {
+		t.Fatalf("record kept %d spans, want %d", len(spans), workers*each)
+	}
+	for i, s := range spans {
+		if s.ID != uint64(i+2) || s.Parent != 1 {
+			t.Fatalf("span %d = %+v, want ID %d under the root", i, s, i+2)
+		}
 	}
 }

@@ -44,8 +44,9 @@ func BenchmarkServeLicenseCached(b *testing.B) {
 }
 
 // benchLicenseDecision is the cached license round-trip with the
-// observability layer either live (metrics + tracing, the shipped
-// default) or stripped, so the pair prices the instrumentation.
+// observability layer either live (metrics + the flight recorder's
+// request records, the shipped default) or stripped, so the pair prices
+// the instrumentation.
 func benchLicenseDecision(b *testing.B, instrumented bool) {
 	s, err := New(Config{Clock: func() time.Time { return time.Unix(800000000, 0) }})
 	if err != nil {
@@ -54,7 +55,7 @@ func benchLicenseDecision(b *testing.B, instrumented bool) {
 	if !instrumented {
 		// Every recording site nil-checks, so stripping is just this.
 		s.met = nil
-		s.tracer = nil
+		s.flightrec = nil
 	}
 	h := s.Handler()
 	const target = "/v1/license?ctp=21125&dest=india&endUse=bench"
@@ -77,7 +78,7 @@ func benchLicenseDecision(b *testing.B, instrumented bool) {
 }
 
 // BenchmarkLicenseDecisionInstrumented measures the cached license path
-// with per-endpoint metrics and request tracing recording.
+// with per-endpoint metrics and request records (spans included) recording.
 func BenchmarkLicenseDecisionInstrumented(b *testing.B) { benchLicenseDecision(b, true) }
 
 // BenchmarkLicenseDecisionUninstrumented is the same path with the

@@ -697,29 +697,42 @@ func (c *Client) Watch(ctx context.Context, since uint64, fn func(WatchEvent) er
 		}
 		return apiErr
 	}
-	scan := bufio.NewScanner(resp.Body)
+	err = readWatchStream(resp.Body, fn)
+	switch {
+	case errors.Is(err, ErrWatchStopped):
+		return nil
+	case errors.Is(err, errWatchStream) && ctx.Err() != nil:
+		return ctx.Err()
+	}
+	return err
+}
+
+// errWatchStream marks a failure reading the stream itself, as opposed
+// to an undecodable event or a callback error.
+var errWatchStream = errors.New("client: watch stream")
+
+// readWatchStream calls fn with each event of the SSE stream r, in
+// order: each "data: " line decoded as one WatchEvent; id:, event:,
+// comment and blank lines are skipped. The first undecodable line or
+// callback error (returned as-is) ends the read.
+func readWatchStream(r io.Reader, fn func(WatchEvent) error) error {
+	scan := bufio.NewScanner(r)
 	scan.Buffer(make([]byte, 0, 4096), maxWatchLineBytes)
 	for scan.Scan() {
-		line := scan.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue // id:/event:/comment frames; data carries the payload
+		data, ok := bytes.CutPrefix(scan.Bytes(), []byte("data: "))
+		if !ok {
+			continue
 		}
 		var ev WatchEvent
-		if err := json.Unmarshal([]byte(line[len("data: "):]), &ev); err != nil {
+		if err := json.Unmarshal(data, &ev); err != nil {
 			return fmt.Errorf("client: decoding watch event: %w", err)
 		}
 		if err := fn(ev); err != nil {
-			if errors.Is(err, ErrWatchStopped) {
-				return nil
-			}
 			return err
 		}
 	}
 	if err := scan.Err(); err != nil {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		return fmt.Errorf("client: watch stream: %w", err)
+		return fmt.Errorf("%w: %w", errWatchStream, err)
 	}
 	return nil
 }

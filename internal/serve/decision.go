@@ -28,6 +28,9 @@ var (
 // keySep separates the fields of a canonical decision cache key.
 const keySep = 0x1f
 
+// maxFieldBytes bounds a request's trimmed destination and end use.
+const maxFieldBytes = 256
+
 // batchParallelMin is the number of uncached batch items below which the
 // fill loop runs inline: handing a handful of evaluations to the worker
 // pool costs more in coordination than the evaluations themselves.
@@ -212,6 +215,14 @@ func resolveLicenseArgs(byName map[string]catalog.System, req *LicenseRequest, a
 	}
 	if strings.IndexByte(a.endUse, keySep) >= 0 {
 		return httpErr(http.StatusBadRequest, "endUse contains the reserved byte 0x1f")
+	}
+	// Both fields are kept in the decision key, the cached body, every
+	// WAL record and the flight recorder, so their length is bounded.
+	if len(a.dest) > maxFieldBytes {
+		return httpErr(http.StatusBadRequest, "destination longer than %d bytes", maxFieldBytes)
+	}
+	if len(a.endUse) > maxFieldBytes {
+		return httpErr(http.StatusBadRequest, "endUse longer than %d bytes", maxFieldBytes)
 	}
 	return nil
 }

@@ -10,6 +10,8 @@ package serve
 // request path, not duplicated, so the two can never drift.
 
 import (
+	"net/http"
+	"strconv"
 	"sync"
 
 	"repro/internal/catalog"
@@ -75,4 +77,23 @@ func DecodeLicenseBody(body []byte) (single LicenseRequest, batch []LicenseReque
 		return LicenseRequest{}, pb.Requests, true, true
 	}
 	return pb.LicenseRequest, nil, false, true
+}
+
+// maxRequestIDBytes bounds an inbound X-Request-Id: every record in the
+// flight recorder keeps its request's ID, so a longer one is treated as
+// absent rather than kept.
+const maxRequestIDBytes = 128
+
+// RequestID returns the X-Request-Id value slice a request is answered
+// and recorded under: the inbound header's first value when it is
+// non-empty and at most maxRequestIDBytes long — shared, not copied, as
+// nothing writes into a header's slices — and otherwise prefix followed
+// by seq in decimal. The server mints bare numbers and the gateway
+// prefixed ones, so an ID the gateway mints and forwards never names a
+// request a backend numbered itself, such as a health probe.
+func RequestID(inbound http.Header, prefix string, seq uint64) []string {
+	if v := inbound["X-Request-Id"]; len(v) > 0 && v[0] != "" && len(v[0]) <= maxRequestIDBytes {
+		return v[:1]
+	}
+	return []string{prefix + strconv.FormatUint(seq, 10)}
 }

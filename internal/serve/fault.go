@@ -5,7 +5,6 @@ import (
 	"net/http"
 
 	"repro/internal/fault"
-	"repro/internal/obs"
 	"repro/internal/wal"
 )
 
@@ -35,35 +34,36 @@ func faultInjectable(route string) bool {
 }
 
 // injectFault consumes the plan's next schedule slot for the route and
-// applies the decision. It reports whether the arrival is poisoned (the
-// caller marks the request's context degraded) and whether the request
-// was fully handled here — true only for an injected error, which has
-// already been written as a 503. The injected-fault headers make every
-// perturbed response self-describing:
+// applies the decision. It reports which fault fired ("" for none),
+// whether the arrival is poisoned (the caller marks the request's
+// context degraded), and whether the request was fully handled here —
+// true only for an injected error, which has already been written as a
+// 503. The injected-fault headers make every perturbed response
+// self-describing:
 //
 //	X-Fault-Injected: error|latency|poison   which fault fired
 //	X-Degraded: cache-bypass                 served without caches
-func (s *Server) injectFault(w http.ResponseWriter, route string, span *obs.Span) (degraded, handled bool) {
+func (s *Server) injectFault(w http.ResponseWriter, route string) (fired string, degraded, handled bool) {
 	d := s.fault.Next(route)
 	if d.Kind == fault.None {
-		return false, false
+		return "", false, false
 	}
-	w.Header().Set("X-Fault-Injected", d.Kind.String())
-	span.SetAttr("fault", d.Kind.String())
+	fired = d.Kind.String()
+	w.Header().Set("X-Fault-Injected", fired)
 	s.met.faultInjected(route, d.Kind)
 	s.publishFaultEvent(route, d.Kind)
 	switch d.Kind {
 	case fault.Error:
 		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "injected fault"})
-		return false, true
+		return fired, false, true
 	case fault.Latency:
 		s.sleep(d.Delay)
 	case fault.Poison:
 		w.Header().Set("X-Degraded", "cache-bypass")
 		s.met.degradedResponse()
-		return true, false
+		return fired, true, false
 	}
-	return false, false
+	return fired, false, false
 }
 
 // publishFaultEvent surfaces an injected fault on the watch stream when

@@ -213,7 +213,7 @@ func (s *Server) answerLicense(w http.ResponseWriter, r *http.Request, req *Lice
 	}
 	ctx := r.Context()
 	sc.key = appendDecisionKey(sc.key[:0], &sc.args)
-	obs.CaptureStateFrom(ctx).SetKey(sc.key)
+	obs.RecordFrom(ctx).SetKey(sc.key)
 	lookup := obs.Child(ctx, "cache.lookup")
 	if isDegraded(ctx) {
 		lookup.SetAttr("result", "bypass")
@@ -794,13 +794,13 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.met.reg.Snapshot())
 }
 
-// handleTraces serves the ring buffer of recently completed traces,
-// newest first.
+// handleTraces serves the span trees of the flight recorder's live ring,
+// newest first. 404 when the recorder is disabled.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if s.tracer == nil {
-		writeError(w, http.StatusNotFound, "tracing disabled")
+	if s.flightrec == nil {
+		writeError(w, http.StatusNotFound, "flight recorder disabled")
 		return
 	}
-	traces := s.tracer.Recent()
+	traces := s.flightrec.Traces()
 	writeJSON(w, http.StatusOK, TracesResponse{Count: len(traces), Traces: traces})
 }

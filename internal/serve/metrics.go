@@ -1,9 +1,6 @@
 package serve
 
 import (
-	"net/http"
-	"strconv"
-
 	"repro/internal/fault"
 	"repro/internal/obs"
 )
@@ -30,9 +27,11 @@ var obsRoutes = []string{
 // statusClasses are the response status classes counted per route.
 var statusClasses = []string{"2xx", "3xx", "4xx", "5xx"}
 
-// routeOf maps a request path to its route label. Unknown paths collapse
-// into "other" so an URL-shaped scan cannot grow the metric space.
-func routeOf(path string) string {
+// RouteOf maps a request path to its route label. Unknown paths collapse
+// into "other" so an URL-shaped scan cannot grow the metric space or the
+// flight recorder; the gateway records its requests under the same
+// labels.
+func RouteOf(path string) string {
 	for _, r := range obsRoutes {
 		if r != "other" && path == r {
 			return r
@@ -274,7 +273,7 @@ func registerCacheMetrics(reg *obs.Registry, name string, stats func() CacheStat
 		func() float64 { return float64(stats().Evictions) }, l)
 }
 
-// requestDone records one answered request. route must be a routeOf
+// requestDone records one answered request. route must be a RouteOf
 // result; self-observed routes never reach here. traceID feeds exemplar
 // collection when the route's histogram is armed.
 func (m *serverMetrics) requestDone(route string, code int, durNs int64, traceID string) {
@@ -294,26 +293,4 @@ func (m *serverMetrics) requestDone(route string, code int, durNs int64, traceID
 	if ri.slowNs > 0 && uint64(durNs) > ri.slowNs {
 		ri.slow.Inc()
 	}
-}
-
-// statusText renders a status code for a span attribute without
-// allocating for the codes the service actually answers.
-func statusText(code int) string {
-	switch code {
-	case http.StatusOK:
-		return "200"
-	case http.StatusBadRequest:
-		return "400"
-	case http.StatusNotFound:
-		return "404"
-	case http.StatusRequestEntityTooLarge:
-		return "413"
-	case http.StatusUnprocessableEntity:
-		return "422"
-	case http.StatusInternalServerError:
-		return "500"
-	case http.StatusServiceUnavailable:
-		return "503"
-	}
-	return strconv.Itoa(code)
 }

@@ -4,7 +4,7 @@ import (
 	"context"
 	"log/slog"
 	"net/http"
-	"strconv"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -35,13 +35,13 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 }
 
 // middleware wraps the endpoint mux with, outermost first: request-ID
-// assignment, the in-flight semaphore, tracing, flight-recorder capture,
-// observability, structured logging, a panic guard, fault injection, and
-// the per-request deadline. The semaphore queues excess requests rather
-// than rejecting them — a request waits for a slot until its client
-// gives up — so MaxInFlight bounds concurrency, not throughput. A slot is
-// held until the handler returns, so MaxInFlight bounds running handlers
-// too.
+// assignment, the in-flight semaphore, the request's flight-recorder
+// record, observability, structured logging, a panic guard, fault
+// injection, and the per-request deadline. The semaphore queues excess
+// requests rather than rejecting them — a request waits for a slot until
+// its client gives up — so MaxInFlight bounds concurrency, not
+// throughput. A slot is held until the handler returns, so MaxInFlight
+// bounds running handlers too.
 //
 // The deadline is Config.RequestTimeout on the request context, started
 // after admission and fault injection. It bounds waits, not work: a
@@ -52,32 +52,26 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // connection's goroutine; no goroutine or response buffer is added per
 // request.
 //
-// The middleware derives the request's context once — deadline, trace
-// root, capture state, and the degraded mark of a poisoned arrival — and
-// attaches it with a single WithContext.
+// Each observed request has one record, opened here and carried in one
+// context value: the layers below add its decision key, WAL outcome and
+// child spans, and the middleware seals it with the status, latency,
+// cache state, fault and degraded mark — timed by the same two clock
+// reads as the request's metrics and log line. The middleware derives
+// the request's context once — deadline, record, and the degraded mark
+// of a poisoned arrival — and attaches it with a single WithContext.
 //
 // An inbound X-Request-Id header is echoed (and used as the trace ID) so
-// client-side and server-side traces correlate; otherwise the request is
-// assigned the next value of the admission counter. The observability
-// endpoints themselves (/metrics, /v1/metrics, /v1/traces, /v1/slo,
-// /v1/flightrec) pass through unrecorded, untraced, and uncaptured,
-// which is what keeps a scrape from perturbing the telemetry it reads.
+// client-side and server-side traces correlate; otherwise, or when it is
+// longer than maxRequestIDBytes, the request is assigned the next value
+// of the admission counter. The observability endpoints themselves
+// (/metrics, /v1/metrics, /v1/traces, /v1/slo, /v1/flightrec) pass
+// through unrecorded, which is what keeps a scrape from perturbing the
+// telemetry it reads.
 func (s *Server) middleware(inner http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		seq := s.requests.Add(1)
-		// One inbound ID is echoed as the request's own value slice:
-		// nothing writes into a header's slices, so sharing it allocates
-		// nothing.
-		var id string
-		if v := r.Header["X-Request-Id"]; len(v) == 1 && v[0] != "" {
-			id = v[0]
-			w.Header()["X-Request-Id"] = v
-		} else {
-			if id = r.Header.Get("X-Request-Id"); id == "" {
-				id = strconv.FormatUint(seq, 10)
-			}
-			w.Header().Set("X-Request-Id", id)
-		}
+		idv := RequestID(r.Header, "", s.requests.Add(1))
+		id := idv[0]
+		w.Header()["X-Request-Id"] = idv
 
 		// /v1/watch is a long-lived event stream and takes a different
 		// path through the stack: no deadline (a stream lives until its
@@ -95,7 +89,7 @@ func (s *Server) middleware(inner http.Handler) http.Handler {
 			return
 		}
 
-		route := routeOf(r.URL.Path)
+		route := RouteOf(r.URL.Path)
 		observed := !selfObserved(route)
 
 		semStart := s.clock()
@@ -120,26 +114,18 @@ func (s *Server) middleware(inner http.Handler) http.Handler {
 		}()
 
 		ctx := r.Context()
-		var span *obs.Span
-		if observed && s.tracer != nil {
-			ctx, span = s.tracer.StartRoot(ctx, id, r.Method+" "+route)
-			span.SetAttr("target", r.URL.RequestURI())
-		}
-
-		// The flight recorder captures every observed request in full
-		// detail; the capture state travels in the context so the layers
-		// below (decision fill, WAL commit) can annotate it.
-		var cs *obs.CaptureState
-		if observed && s.flightrec != nil {
-			cs = obs.NewCaptureState(r.Method, route, id)
-			ctx = obs.WithCaptureState(ctx, cs)
-		}
-
-		sw := &statusWriter{ResponseWriter: w}
 		start := s.clock()
+		var rec *obs.Record
+		if observed {
+			ctx, rec = s.flightrec.Open(ctx, s.clock, start, r.Method, route, id)
+		}
+		sw := &statusWriter{ResponseWriter: w}
+		var fault string
+		var degraded bool
 		defer func() {
 			dur := s.clock().Sub(start)
-			if rec := recover(); rec != nil {
+			cache := sw.Header().Get("X-Cache")
+			if v := recover(); v != nil {
 				if !sw.wrote {
 					writeJSON(sw, http.StatusInternalServerError,
 						ErrorResponse{Error: "internal error"})
@@ -148,28 +134,18 @@ func (s *Server) middleware(inner http.Handler) http.Handler {
 					s.met.panics.Inc()
 					s.met.requestDone(route, http.StatusInternalServerError, int64(dur), id)
 				}
-				s.recordCapture(cs, sw, route, int64(dur), true)
-				span.SetAttr("panic", "true")
-				span.End()
+				s.seal(rec, route, sw.code, dur, cache, fault, degraded, true)
 				if s.logger != nil {
 					s.logger.LogAttrs(ctx, slog.LevelError, "panic",
 						slog.String("req", id), slog.String("route", route),
-						slog.String("method", r.Method), slog.Any("value", rec))
+						slog.String("method", r.Method), slog.Any("value", v))
 				}
 				return
 			}
 			if observed && s.met != nil {
 				s.met.requestDone(route, sw.code, int64(dur), id)
 			}
-			s.recordCapture(cs, sw, route, int64(dur), false)
-			cache := sw.Header().Get("X-Cache")
-			if span != nil {
-				span.SetAttr("status", statusText(sw.code))
-				if cache != "" {
-					span.SetAttr("cache", cache)
-				}
-				span.End()
-			}
+			s.seal(rec, route, sw.code, dur, cache, fault, degraded, false)
 			if s.logger != nil {
 				attrs := []slog.Attr{
 					slog.String("req", id),
@@ -186,11 +162,11 @@ func (s *Server) middleware(inner http.Handler) http.Handler {
 			}
 		}()
 		// Fault injection sits inside the full bookkeeping stack, so an
-		// injected 503 or delay is metered, traced, and logged exactly
+		// injected 503 or delay is metered, recorded, and logged exactly
 		// like an organic one.
 		if s.fault != nil && faultInjectable(route) {
-			degraded, handled := s.injectFault(sw, route, span)
-			if handled {
+			var handled bool
+			if fault, degraded, handled = s.injectFault(sw, route); handled {
 				return
 			}
 			if degraded {
@@ -203,37 +179,34 @@ func (s *Server) middleware(inner http.Handler) http.Handler {
 	})
 }
 
-// recordCapture seals one request's flight-recorder capture with the
-// response-side facts and the anomaly verdicts: a recovered panic, a
-// server-error status, latency over the route's SLO objective, or a
-// degraded (cache-bypassed) response. Any anomaly — these or one added
-// below the middleware, like a WAL regime transition — makes the
-// recorder pin the capture with its surrounding context. A nil capture
-// state (self-observed route, or recorder disabled) is a no-op.
-func (s *Server) recordCapture(cs *obs.CaptureState, sw *statusWriter, route string, durNs int64, panicked bool) {
-	if cs == nil || s.flightrec == nil {
+// seal completes one request's record with the response-side facts and
+// the anomaly verdicts: a recovered panic, a server-error status,
+// latency over the route's SLO objective, or a degraded (cache-bypassed)
+// response. Any anomaly — these or one added below the middleware, like
+// a WAL regime transition — makes the recorder pin the capture with its
+// surrounding context. A nil record (self-observed route, or recorder
+// disabled) is a no-op.
+func (s *Server) seal(rec *obs.Record, route string, code int, dur time.Duration, cache, fault string, degraded, panicked bool) {
+	if rec == nil {
 		return
 	}
-	if durNs < 0 {
-		durNs = 0
+	if dur < 0 {
+		dur = 0
 	}
-	h := sw.Header()
-	injected := h.Get("X-Fault-Injected")
-	degraded := h.Get("X-Degraded") != ""
 	var anomalies []string
 	if panicked {
 		anomalies = append(anomalies, "panic")
 	}
-	if sw.code >= 500 {
+	if code >= 500 {
 		anomalies = append(anomalies, "5xx")
 	}
-	if ns := s.slowNsFor(route); ns > 0 && uint64(durNs) > ns {
+	if ns := s.slowNsFor(route); ns > 0 && uint64(dur) > ns {
 		anomalies = append(anomalies, "slow")
 	}
 	if degraded {
 		anomalies = append(anomalies, "degraded")
 	}
-	s.flightrec.Record(cs.Finish(sw.code, uint64(durNs), injected, degraded, anomalies))
+	rec.Seal(code, uint64(dur), cache, fault, degraded, anomalies)
 }
 
 // slowNsFor returns the route's latency objective in nanoseconds, 0 when

@@ -212,10 +212,10 @@ func TestTraceThresholdSnapshot(t *testing.T) {
 	}
 }
 
-// TestTracingDisabled: a negative TraceCapacity turns tracing off
-// entirely; requests still work and /v1/traces says so.
+// TestTracingDisabled: a negative FlightCapacity turns recording, spans
+// included, off entirely; requests still work and /v1/traces says so.
 func TestTracingDisabled(t *testing.T) {
-	s, err := New(Config{Clock: testClock, TraceCapacity: -1})
+	s, err := New(Config{Clock: testClock, FlightCapacity: -1})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

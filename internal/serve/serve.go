@@ -15,7 +15,7 @@
 //	GET  /v1/healthz    liveness, counters, cache statistics
 //	GET  /metrics       Prometheus text exposition (deterministic order)
 //	GET  /v1/metrics    the same registry as a JSON snapshot
-//	GET  /v1/traces     ring buffer of recent request traces
+//	GET  /v1/traces     span trees of the flight recorder's recent requests
 //	GET  /v1/slo        burn-rate verdicts per judged route (needs Config.SLO)
 //	GET  /v1/flightrec  flight-recorder captures and pinned anomaly groups
 //
@@ -66,7 +66,6 @@ const (
 	DefaultMaxBatch       = 256
 	DefaultCacheSize      = 4096
 	DefaultDrainTimeout   = 5 * time.Second
-	DefaultTraceCapacity  = 64
 	DefaultSnapshotEvery  = 1024
 	DefaultMaxWatchers    = 16
 )
@@ -85,7 +84,6 @@ type Config struct {
 	BatchWorkers   int           // workers evaluating large batches and the WAL warm start in parallel; 1 forces inline
 	CacheSize      int           // capacity of each LRU cache
 	DrainTimeout   time.Duration // how long Shutdown waits for in-flight requests
-	TraceCapacity  int           // completed traces kept for /v1/traces; < 0 disables tracing
 
 	// Clock supplies the service's notion of time (request durations,
 	// uptime, span timing). Tests inject a fixed or scripted clock; nil
@@ -141,9 +139,10 @@ type Config struct {
 	// history samples; 0 selects the engine default (15s).
 	SLOSampleEvery time.Duration
 
-	// FlightCapacity sizes the flight recorder's capture ring; 0 selects
-	// obs.DefaultRecorderCapacity, negative disables the recorder (and
-	// /v1/flightrec answers 404).
+	// FlightCapacity sizes the flight recorder's ring: one record per
+	// observed request, its capture and its span tree, behind both
+	// /v1/flightrec and /v1/traces. 0 selects obs.DefaultRecorderCapacity;
+	// negative disables the recorder, and both endpoints answer 404.
 	FlightCapacity int
 }
 
@@ -156,12 +155,11 @@ type Server struct {
 	start   time.Time
 	handler http.Handler
 
-	met    *serverMetrics // nil disables metric recording
-	tracer *obs.Tracer    // nil disables tracing
+	met *serverMetrics // nil disables metric recording
 
 	// slo is the mounted burn-rate engine (nil without an active SLO
-	// profile); flightrec is the always-on black-box recorder (nil only
-	// when Config.FlightCapacity is negative).
+	// profile); flightrec is the always-on black-box recorder of every
+	// observed request (nil only when Config.FlightCapacity is negative).
 	slo       *slo.Engine
 	flightrec *obs.Recorder
 
@@ -257,9 +255,6 @@ func New(cfg Config) (*Server, error) {
 		//hpcvet:allow detrand the daemon's documented default is the wall clock; deterministic callers inject Config.Clock
 		clock = time.Now
 	}
-	if cfg.TraceCapacity == 0 {
-		cfg.TraceCapacity = DefaultTraceCapacity
-	}
 	sleep := cfg.Sleep
 	if sleep == nil {
 		sleep = time.Sleep
@@ -307,9 +302,6 @@ func New(cfg Config) (*Server, error) {
 	// its sources and gauges can bind to the registered counters.
 	if cfg.SLO.Active() {
 		s.initSLO()
-	}
-	if cfg.TraceCapacity > 0 {
-		s.tracer = obs.NewTracer(cfg.TraceCapacity, clock)
 	}
 	s.start = clock()
 	s.handler = s.middleware(s.routes())

@@ -331,8 +331,8 @@ type WALHealth struct {
 	DroppedEvents uint64 `json:"droppedEvents"`
 }
 
-// TracesResponse is the /v1/traces answer: recently completed request
-// traces, newest first.
+// TracesResponse is the /v1/traces answer: the span trees of the
+// requests in the flight recorder's live ring, newest first.
 type TracesResponse struct {
 	Count  int         `json:"count"`
 	Traces []obs.Trace `json:"traces"`

@@ -189,7 +189,7 @@ func (s *Server) logWALSkip(key, reason string) {
 // Append failures are counted and logged, never surfaced to the request:
 // the decision has already been served and cached, and the audit trail
 // degrades explicitly (wal_append_errors_total) rather than taking the
-// service down with it. The request's flight-recorder capture gets the
+// service down with it. The request's flight-recorder record gets the
 // commit outcome, and the commit that changes the threshold regime
 // records the transition as a breaker anomaly — so the capture that
 // crossed a control boundary is pinned with its surrounding context.
@@ -197,7 +197,7 @@ func (s *Server) walCommit(ctx context.Context, skey string, a *fillArgs, d *cac
 	if s.wal == nil {
 		return
 	}
-	cs := obs.CaptureStateFrom(ctx)
+	rec := obs.RecordFrom(ctx)
 	err := s.wal.Append(wal.Record{
 		Kind:   wal.KindDecision,
 		Key:    skey,
@@ -206,20 +206,20 @@ func (s *Server) walCommit(ctx context.Context, skey string, a *fillArgs, d *cac
 	})
 	if err != nil {
 		s.walAppendErrs.Add(1)
-		cs.SetWAL("append-error")
+		rec.SetWAL("append-error")
 		if s.logger != nil {
 			s.logger.LogAttrs(context.Background(), slog.LevelError, "wal append failed",
 				slog.String("key", skey), slog.Any("err", err))
 		}
 		return
 	}
-	cs.SetWAL("committed")
+	rec.SetWAL("committed")
 	bits := math.Float64bits(float64(a.th))
 	if s.walRegimeKnown.Load() {
 		if prev := s.walRegimeBits.Swap(bits); prev != bits {
-			cs.SetBreaker("regime " + canonicalFloat(math.Float64frombits(prev)) +
+			rec.SetBreaker("regime " + canonicalFloat(math.Float64frombits(prev)) +
 				"->" + canonicalFloat(float64(a.th)))
-			cs.AddAnomaly("regime-transition")
+			rec.AddAnomaly("regime-transition")
 		}
 	} else {
 		s.walRegimeBits.Store(bits)
