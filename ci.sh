@@ -43,7 +43,7 @@ go test -shuffle=on ./... > /dev/null
 echo "== parpool barrier/reduction under -race, repeated =="
 go test -race -count=2 ./internal/parpool/
 
-echo "== request deadline, ctx-aware singleflight, parallel warm start, gateway fetch goroutines, request records and gateway request IDs under -race, repeated =="
+echo "== request deadline, ctx-aware singleflight, parallel warm start, gateway fetch goroutines, request records, gateway request IDs, the regime detector and watch drain under -race, repeated =="
 # The waiter that leaves its flight at ctx.Done(), the coalesced herd,
 # the cut wait answered 503, the overrunning fill that keeps its
 # semaphore slot, the warm start that recomputes on a transient worker
@@ -53,12 +53,15 @@ echo "== request deadline, ctx-aware singleflight, parallel warm start, gateway 
 # reused goroutines, and Close releases them), the one record per request
 # (spans ended on many goroutines and on the batch pool's workers, a
 # pinned record keeping its spans past ring wrap, /v1/traces and
-# /v1/flightrec read from one ring), and a held gateway herd answering
-# each request under its own ID, each run ten times under the race
-# detector.
+# /v1/flightrec read from one ring), a held gateway herd answering
+# each request under its own ID, the one regime detector (seeded across
+# a restart; concurrent commits whose regime events chain and name
+# exactly the pinned transition captures), and a Serve drain that ends
+# open watch streams, server-side and through the client, each run ten
+# times under the race detector.
 go test -race -count=10 \
-	-run '^(TestWaiterLeavesAtContextEnd|TestCoalescedFillsAreByteIdentical|TestCoalescedWaitEndsAtDeadline|TestMaxInFlightBoundsOverrunningFills|TestWarmStartMatchesFullReplay|TestWarmStartJudgesKeyByNewestRecord|TestLauncherReusesOneParkedFetcher|TestLauncherHedgesOnReusedFetchers|TestGatewayHedgeByteIdentity|TestGatewayHerdSingleFill|TestGatewayConcurrentColdBatches|TestRecordConcurrentSpans|TestSpanDoubleEndAndLateChild|TestBatchRecordAcrossWorkers|TestPinnedRecordKeepsSpansPastRingWrap|TestTracesAndFlightRecReadOneRing|TestGatewayHerdEchoesEachRequestID)$' \
-	./internal/singleflight/ ./internal/obs/ ./internal/serve/ ./internal/gateway/
+	-run '^(TestWaiterLeavesAtContextEnd|TestCoalescedFillsAreByteIdentical|TestCoalescedWaitEndsAtDeadline|TestMaxInFlightBoundsOverrunningFills|TestWarmStartMatchesFullReplay|TestWarmStartJudgesKeyByNewestRecord|TestLauncherReusesOneParkedFetcher|TestLauncherHedgesOnReusedFetchers|TestGatewayHedgeByteIdentity|TestGatewayHerdSingleFill|TestGatewayConcurrentColdBatches|TestRecordConcurrentSpans|TestSpanDoubleEndAndLateChild|TestBatchRecordAcrossWorkers|TestPinnedRecordKeepsSpansPastRingWrap|TestTracesAndFlightRecReadOneRing|TestGatewayHerdEchoesEachRequestID|TestRegimeTransitionAcrossRestart|TestRegimeEventsMatchPins|TestWatchStreamEndsOnHubClose|TestWatchEndsCleanlyOnServerDrain)$' \
+	./internal/singleflight/ ./internal/obs/ ./internal/serve/ ./internal/serve/client/ ./internal/gateway/
 
 echo "== bench smoke (one iteration of every benchmark) =="
 go test -run '^$' -bench . -benchtime=1x ./... > /dev/null

@@ -53,9 +53,10 @@
 // gains slo_burn_rate / slo_budget_remaining / slo_state gauges, and SLO
 // state transitions are published on /v1/watch when a log is mounted.
 //
-// The flight recorder is always on: a fixed ring of recent requests, one
-// record each (capture and span tree), dumped at GET /v1/flightrec and
-// rendered as traces at GET /v1/traces. Anomalous requests (5xx,
+// The flight recorder is always on: a fixed ring of recent requests
+// (health probes are counted, not recorded), one record each (capture
+// and span tree), dumped at GET /v1/flightrec and rendered as traces at
+// GET /v1/traces. Anomalous requests (5xx,
 // over-objective latency, degraded recompute, WAL regime transition) are
 // pinned, spans included, with the records that preceded them so the
 // context survives ring wrap. -flightrec resizes the ring (default 256);
@@ -181,7 +182,6 @@ func main() {
 	}
 
 	s, err := serve.New(serve.Config{
-		Addr:           *addr,
 		MaxInFlight:    *inflight,
 		RequestTimeout: *timeout,
 		MaxBatch:       *batch,

@@ -84,7 +84,6 @@ func main() {
 		list = strings.Split(*backends, ",")
 	}
 	g, err := gateway.New(gateway.Config{
-		Addr:           *addr,
 		Backends:       list,
 		MembershipFile: *membership,
 		VNodes:         *vnodes,

@@ -102,7 +102,7 @@ func run() error {
 	events := make(chan client.WatchEvent, 1)
 	go func() {
 		_ = api.Watch(wctx, 0, func(ev client.WatchEvent) error {
-			if ev.Kind == wal.EventRegime {
+			if ev.Kind == serve.EventRegime {
 				events <- ev
 				return client.ErrWatchStopped
 			}

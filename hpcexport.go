@@ -376,9 +376,10 @@ type (
 	// FsyncPolicy sets the log's durability barrier: always, never, or
 	// every N records.
 	FsyncPolicy = wal.FsyncPolicy
-	// WatchEvent is one /v1/watch commit-stream event: a threshold-regime
-	// transition or an injected fault/degraded notice.
-	WatchEvent = wal.Event
+	// WatchEvent is one /v1/watch event: a threshold-regime transition
+	// between committed decisions, an injected fault/degraded notice, or
+	// an SLO state change.
+	WatchEvent = serve.WatchEvent
 )
 
 // Query-service entry points.

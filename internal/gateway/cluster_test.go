@@ -599,7 +599,8 @@ func TestGatewayMembershipReload(t *testing.T) {
 
 // TestVerifyHedgeMismatchIsRecorded pins what a determinism violation
 // does: the mismatch counter moves and a capture pins in the flight
-// recorder — and an identical pair does neither.
+// recorder under the audited request's ID — and an identical pair does
+// neither.
 func TestVerifyHedgeMismatchIsRecorded(t *testing.T) {
 	tc := newTestCluster(t, 2, Config{}, nil)
 	g := tc.gw
@@ -609,11 +610,11 @@ func TestVerifyHedgeMismatchIsRecorded(t *testing.T) {
 	ok := func(body, from string) hedgeAnswer {
 		return hedgeAnswer{res: &proxyResult{status: 200, body: []byte(body), backend: from}, from: from}
 	}
-	g.verifyHedge("k1", ok(`{"decision":1}`, "http://a"), ok(`{"decision":1}`, "http://b"))
+	g.verifyHedge("k1", []string{"req-1"}, ok(`{"decision":1}`, "http://a"), ok(`{"decision":1}`, "http://b"))
 	if m := <-verdicts; !m {
 		t.Fatal("identical bodies reported as mismatch")
 	}
-	g.verifyHedge("k2", ok(`{"decision":1}`, "http://a"), ok(`{"decision":2}`, "http://b"))
+	g.verifyHedge("k2", []string{"req-2"}, ok(`{"decision":1}`, "http://a"), ok(`{"decision":2}`, "http://b"))
 	if m := <-verdicts; m {
 		t.Fatal("differing bodies reported as match")
 	}
@@ -633,6 +634,9 @@ func TestVerifyHedgeMismatchIsRecorded(t *testing.T) {
 		for _, a := range c.Anomalies {
 			if strings.HasPrefix(a, "hedge:mismatch") && c.Key == "k2" {
 				found = true
+				if c.TraceID != "req-2" {
+					t.Errorf("mismatch capture recorded under ID %q, want req-2", c.TraceID)
+				}
 			}
 		}
 	}

@@ -39,20 +39,30 @@ import (
 	"repro/internal/serve"
 )
 
+// DefaultAddr is hpcexportgw's default listen address.
+const DefaultAddr = "localhost:8094"
+
 // Defaults applied by New to zero Config fields.
 const (
-	DefaultAddr           = "localhost:8094"
-	DefaultProbeEvery     = time.Second
-	DefaultProbeTimeout   = 500 * time.Millisecond
-	DefaultRejoinAfter    = 3
-	DefaultAttempts       = 4
-	DefaultRetryBackoff   = 2 * time.Millisecond
-	DefaultHedgeQuantile  = 0.95
-	DefaultHedgeCold      = 10 * time.Millisecond
-	DefaultHedgeMin       = time.Millisecond
-	DefaultForwardTimeout = 10 * time.Second
-	DefaultDrainTimeout   = 5 * time.Second
-	DefaultMaxBatch       = 256
+	DefaultProbeEvery   = time.Second
+	DefaultProbeTimeout = 500 * time.Millisecond
+	DefaultRejoinAfter  = 3
+	DefaultAttempts     = 4
+	DefaultHedgeCold    = 10 * time.Millisecond
+	DefaultHedgeMin     = time.Millisecond
+	DefaultDrainTimeout = 5 * time.Second
+	DefaultMaxBatch     = 256
+)
+
+// Forwarding constants. retryBackoff is the pause before a retryable
+// status (429/5xx overload) is retried at the same owner; hedgeQuantile
+// picks the hedge delay from the primary owner's latency histogram;
+// forwardTimeout bounds one whole keyed fetch, all attempts and the
+// hedge race included.
+const (
+	retryBackoff   = 2 * time.Millisecond
+	hedgeQuantile  = 0.95
+	forwardTimeout = 10 * time.Second
 )
 
 // hedgeMinSamples is how many latency observations a backend needs
@@ -65,11 +75,8 @@ const hedgeMinSamples = 32
 const maxBodyBytes = 1 << 20
 
 // Config configures a Gateway. The zero value of any field selects the
-// documented default.
+// documented default. The listener is the caller's: Serve takes one.
 type Config struct {
-	// Addr is the listen address for ListenAndServe.
-	Addr string
-
 	// Backends is the static member list: base URLs of hpcexportd
 	// instances ("http://host:port"). At least one of Backends and
 	// MembershipFile must be given.
@@ -98,27 +105,23 @@ type Config struct {
 
 	// Attempts bounds forwarding attempts per request: transport errors
 	// fail over to the next ring owner immediately, retryable statuses
-	// (429/5xx overload) retry the same owner after RetryBackoff.
-	Attempts     int
-	RetryBackoff time.Duration
+	// (429/5xx overload) retry the same owner after retryBackoff.
+	Attempts int
 
-	// HedgeQuantile picks the hedge delay from the primary owner's
-	// latency histogram (HedgeCold until enough samples accumulate);
+	// The hedge delay is the hedgeQuantile of the primary owner's
+	// latency histogram, HedgeCold until enough samples accumulate, and
 	// HedgeMin floors it. NoHedge disables hedged reads entirely.
-	HedgeQuantile float64
-	HedgeCold     time.Duration
-	HedgeMin      time.Duration
-	NoHedge       bool
+	HedgeCold time.Duration
+	HedgeMin  time.Duration
+	NoHedge   bool
 
 	// MaxBatch bounds the batch size the gateway will scatter-gather;
 	// larger batches are forwarded whole so the owning backend renders
 	// its canonical rejection.
 	MaxBatch int
 
-	// ForwardTimeout bounds one whole keyed fetch (all attempts and the
-	// hedge race); DrainTimeout bounds graceful shutdown.
-	ForwardTimeout time.Duration
-	DrainTimeout   time.Duration
+	// DrainTimeout bounds graceful shutdown.
+	DrainTimeout time.Duration
 
 	// FlightCapacity sizes the gateway's flight-recorder ring; 0 selects
 	// obs.DefaultRecorderCapacity, negative disables the recorder.
@@ -204,9 +207,6 @@ type Gateway struct {
 // fields, and seeds the member set (Backends, or the membership file if
 // it already parses).
 func New(cfg Config) (*Gateway, error) {
-	if cfg.Addr == "" {
-		cfg.Addr = DefaultAddr
-	}
 	if len(cfg.Backends) == 0 && cfg.MembershipFile == "" {
 		return nil, errors.New("gateway: no backends: give Backends or MembershipFile")
 	}
@@ -234,12 +234,6 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.Attempts < 1 {
 		return nil, errors.New("gateway: Attempts must be at least 1")
 	}
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = DefaultRetryBackoff
-	}
-	if cfg.HedgeQuantile == 0 {
-		cfg.HedgeQuantile = DefaultHedgeQuantile
-	}
 	if cfg.HedgeCold == 0 {
 		cfg.HedgeCold = DefaultHedgeCold
 	}
@@ -248,9 +242,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	if cfg.MaxBatch == 0 {
 		cfg.MaxBatch = DefaultMaxBatch
-	}
-	if cfg.ForwardTimeout == 0 {
-		cfg.ForwardTimeout = DefaultForwardTimeout
 	}
 	if cfg.DrainTimeout == 0 {
 		cfg.DrainTimeout = DefaultDrainTimeout
@@ -466,15 +457,6 @@ func (g *Gateway) Serve(ctx context.Context, ln net.Listener) error {
 		return err
 	}
 	return nil
-}
-
-// ListenAndServe listens on Config.Addr and calls Serve.
-func (g *Gateway) ListenAndServe(ctx context.Context) error {
-	ln, err := net.Listen("tcp", g.cfg.Addr)
-	if err != nil {
-		return err
-	}
-	return g.Serve(ctx, ln)
 }
 
 // discardHandler is a no-op slog handler for the nil-Logger default.

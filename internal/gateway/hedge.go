@@ -19,8 +19,8 @@ type hedgeAnswer struct {
 }
 
 // hedgeDelay derives the hedge trigger from the primary owner's observed
-// latency: the configured quantile of its histogram once enough samples
-// exist, the cold default before that, floored at HedgeMin. A slow shard
+// latency: the hedgeQuantile of its histogram once enough samples
+// exist, HedgeCold before that, floored at HedgeMin. A slow shard
 // therefore hedges late enough not to double normal traffic, and a
 // suddenly-degraded one hedges as soon as it falls off its own tail.
 func (g *Gateway) hedgeDelay(owner string) time.Duration {
@@ -29,7 +29,7 @@ func (g *Gateway) hedgeDelay(owner string) time.Duration {
 	g.mu.RUnlock()
 	d := g.cfg.HedgeCold
 	if b != nil && b.latency.Count() >= hedgeMinSamples {
-		d = time.Duration(b.latency.Quantile(g.cfg.HedgeQuantile))
+		d = time.Duration(b.latency.Quantile(hedgeQuantile))
 	}
 	if d < g.cfg.HedgeMin {
 		d = g.cfg.HedgeMin
@@ -43,12 +43,12 @@ func (g *Gateway) hedgeDelay(owner string) time.Duration {
 // replicas answered 200, asserts the bodies are byte-identical — the
 // determinism contract, audited for free on every hedge. The fetches and
 // the verifier run on fetch goroutines (launch.go), on a context
-// detached from the caller's (bounded by ForwardTimeout instead), so
+// detached from the caller's (bounded by forwardTimeout instead), so
 // coalesced waiters sharing this fill do not die with the leader's
 // request, and the losing replica completes for verification even after
 // the winner is already written.
 func (g *Gateway) hedgedFetch(ctx context.Context, key, method, uri string, body []byte, id []string) (*proxyResult, error) {
-	fctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), g.cfg.ForwardTimeout)
+	fctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), forwardTimeout)
 	var ownerBuf [2]string
 	owners := g.appendHealthyOwners(ownerBuf[:0], key, 2)
 	canHedge := !g.cfg.NoHedge && len(owners) == 2
@@ -101,7 +101,7 @@ func (g *Gateway) hedgedFetch(ctx context.Context, key, method, uri string, body
 		// audits the race before releasing the detached context.
 		g.launch(func() {
 			defer cancel()
-			g.verifyHedge(key, win, <-ch)
+			g.verifyHedge(key, id, win, <-ch)
 		})
 	} else {
 		cancel()
@@ -116,8 +116,9 @@ func (g *Gateway) hedgedFetch(ctx context.Context, key, method, uri string, body
 // byte-identical is the contract holding; a difference is a counted,
 // flight-recorded determinism violation — surfaced, never masked,
 // because a replica disagreeing on a pure function of the request means
-// a cache, WAL, or codec bug somewhere upstream.
-func (g *Gateway) verifyHedge(key string, a, b hedgeAnswer) {
+// a cache, WAL, or codec bug somewhere upstream. The capture carries the
+// request's ID, under which the backends recorded both fetches.
+func (g *Gateway) verifyHedge(key string, id []string, a, b hedgeAnswer) {
 	match := true
 	if a.err == nil && b.err == nil &&
 		a.res.status == http.StatusOK && b.res.status == http.StatusOK {
@@ -129,11 +130,16 @@ func (g *Gateway) verifyHedge(key string, a, b hedgeAnswer) {
 			g.logger.Error("hedge mismatch: replicas answered differently",
 				"key", key, "a", a.res.backend, "b", b.res.backend)
 			if g.flightrec != nil {
+				var traceID string
+				if len(id) > 0 {
+					traceID = id[0]
+				}
 				g.flightrec.Record(obs.Capture{
-					Method: "HEDGE",
-					Route:  "/v1/license",
-					Key:    key,
-					Status: http.StatusOK,
+					TraceID: traceID,
+					Method:  "HEDGE",
+					Route:   "/v1/license",
+					Key:     key,
+					Status:  http.StatusOK,
 					Anomalies: []string{fmt.Sprintf("hedge:mismatch %s vs %s",
 						a.res.backend, b.res.backend)},
 				})

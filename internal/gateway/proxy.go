@@ -199,7 +199,7 @@ func (g *Gateway) forwardKeyed(ctx context.Context, key, method, uri string, bod
 		}
 		if attempt < g.cfg.Attempts-1 {
 			g.retries.Inc()
-			g.sleep(g.cfg.RetryBackoff)
+			g.sleep(retryBackoff)
 		}
 	}
 	// Retries exhausted: a real backend answer (even a retryable status)

@@ -90,12 +90,12 @@ func TestGatewayHerdEchoesEachRequestID(t *testing.T) {
 // ID, or with one over the 128-byte bound, is answered under an ID the
 // gateway mints from its admission counter, recorded under it, and
 // forwarded under it, so the backend's record carries the same ID — one
-// that no request the backend numbered itself (a probe, say) shares.
+// that no request the backend numbered itself (a direct call, say) shares.
 func TestGatewayMintsAndForwardsRequestID(t *testing.T) {
 	tc := newTestCluster(t, 1, Config{NoHedge: true}, nil)
-	// A request the backend numbers itself, as it numbers health probes.
-	if code, _ := getJSON(t, tc.backends[0].url+"/v1/healthz"); code != http.StatusOK {
-		t.Fatalf("direct healthz: %d", code)
+	// A recorded request the backend numbers itself.
+	if code, _ := getJSON(t, tc.backends[0].url+"/v1/threshold"); code != http.StatusOK {
+		t.Fatalf("direct threshold: %d", code)
 	}
 	for i, sent := range []string{"", strings.Repeat("x", 129)} {
 		code, id := tc.getWithID(licenseTarget(i), sent)

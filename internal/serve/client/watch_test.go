@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -85,7 +86,7 @@ drive:
 		case <-time.After(50 * time.Millisecond):
 		}
 	}
-	if got.Kind != wal.EventRegime {
+	if got.Kind != serve.EventRegime {
 		t.Fatalf("event kind = %q, want regime", got.Kind)
 	}
 	if got.Seq == 0 {
@@ -110,30 +111,70 @@ drive:
 	}
 }
 
+// TestWatchEndsCleanlyOnServerDrain: cancelling the server's Serve
+// context closes its watch hub before the drain, so an open Watch ends
+// with nil and Serve returns cleanly within DrainTimeout.
 func TestWatchEndsCleanlyOnServerDrain(t *testing.T) {
-	ts, l, c := walServer(t)
-	defer ts.Close()
+	l, err := wal.Open(wal.Options{Dir: t.TempDir(), Fsync: wal.FsyncNever})
+	if err != nil {
+		t.Fatalf("wal.Open: %v", err)
+	}
+	defer func() { _ = l.Close() }()
+	s, err := serve.New(serve.Config{Clock: watchTestClock, WAL: l})
+	if err != nil {
+		t.Fatalf("serve.New: %v", err)
+	}
+	ln, err := net.Listen("tcp", "localhost:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(sctx, ln) }()
+	c, err := New("http://"+ln.Addr().String(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	watchErr := make(chan error, 1)
-	started := make(chan struct{})
 	go func() {
-		close(started)
 		watchErr <- c.Watch(ctx, 0, func(WatchEvent) error { return nil })
 	}()
-	<-started
-	time.Sleep(100 * time.Millisecond) // let the stream establish
-	if err := l.Close(); err != nil {
-		t.Fatalf("close log: %v", err)
+	// Drain only once the stream is established.
+	for {
+		hz, err := c.Healthz(ctx)
+		if err != nil {
+			t.Fatalf("healthz: %v", err)
+		}
+		if hz.WAL.Watchers == 1 {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
+
+	begin := time.Now()
+	stop()
 	select {
 	case err := <-watchErr:
 		if err != nil {
 			t.Fatalf("Watch on drain returned %v, want nil", err)
 		}
 	case <-ctx.Done():
-		t.Fatal("Watch did not end after the hub closed")
+		t.Fatal("Watch did not end after the server drained")
+	}
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("Serve returned %v after drain", err)
+		}
+		if d := time.Since(begin); d >= serve.DefaultDrainTimeout {
+			t.Fatalf("Serve took %v to drain, want under %v", d, serve.DefaultDrainTimeout)
+		}
+	case <-ctx.Done():
+		t.Fatal("Serve did not return after its context was cancelled")
 	}
 }
 

@@ -162,9 +162,9 @@ func tierTail(tier string) []byte {
 }
 
 // resolveLicense canonicalizes one request into fill arguments through
-// the server's catalog index.
+// the package's catalog index.
 func (s *Server) resolveLicense(req *LicenseRequest, a *fillArgs) *statusError {
-	return resolveLicenseArgs(s.systemsByName, req, a)
+	return resolveLicenseArgs(systemIndex(), req, a)
 }
 
 // resolveLicenseArgs canonicalizes one request into fill arguments:
@@ -227,14 +227,10 @@ func resolveLicenseArgs(byName map[string]catalog.System, req *LicenseRequest, a
 	return nil
 }
 
-// lookupSystem resolves a catalog system by exact name through the
-// index built at New, falling back to catalog.Lookup's substring scan
-// for partial names. The index and the scan's exact-match phase agree by
+// lookupSystemIn resolves a catalog system by exact name through the
+// index, falling back to catalog.Lookup's substring scan for partial
+// names. The index and the scan's exact-match phase agree by
 // construction, so this only short-circuits, never reroutes.
-func (s *Server) lookupSystem(name string) (catalog.System, bool) {
-	return lookupSystemIn(s.systemsByName, name)
-}
-
 func lookupSystemIn(byName map[string]catalog.System, name string) (catalog.System, bool) {
 	if sys, ok := byName[name]; ok {
 		return sys, true

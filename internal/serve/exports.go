@@ -17,23 +17,23 @@ import (
 	"repro/internal/catalog"
 )
 
-// exportIndex is the package-level catalog index for key resolution
-// outside a Server; built once on first use, identical by construction
-// to the index every Server builds at New.
+// sysIndex indexes the catalog by exact system name, short-circuiting
+// the linear scan for the common named-system request. It is built once
+// on first use and shared by every Server and by ResolveDecisionKey.
 var (
-	exportIndexOnce sync.Once
-	exportIndex     map[string]catalog.System
+	sysIndexOnce sync.Once
+	sysIndex     map[string]catalog.System
 )
 
-func exportSystemIndex() map[string]catalog.System {
-	exportIndexOnce.Do(func() {
+func systemIndex() map[string]catalog.System {
+	sysIndexOnce.Do(func() {
 		all := catalog.All()
-		exportIndex = make(map[string]catalog.System, len(all))
+		sysIndex = make(map[string]catalog.System, len(all))
 		for _, sys := range all {
-			exportIndex[sys.Name] = sys
+			sysIndex[sys.Name] = sys
 		}
 	})
-	return exportIndex
+	return sysIndex
 }
 
 // ResolveDecisionKey appends the canonical decision cache key for req to
@@ -43,7 +43,7 @@ func exportSystemIndex() map[string]catalog.System {
 // produces the canonical error text.
 func ResolveDecisionKey(dst []byte, req *LicenseRequest) ([]byte, bool) {
 	var a fillArgs
-	if herr := resolveLicenseArgs(exportSystemIndex(), req, &a); herr != nil {
+	if herr := resolveLicenseArgs(systemIndex(), req, &a); herr != nil {
 		return dst, false
 	}
 	return appendDecisionKey(dst, &a), true

@@ -5,7 +5,6 @@ import (
 	"net/http"
 
 	"repro/internal/fault"
-	"repro/internal/wal"
 )
 
 // degradedKey marks a request whose caches are poisoned for this arrival.
@@ -70,15 +69,12 @@ func (s *Server) injectFault(w http.ResponseWriter, route string) (fired string,
 // a decision log is mounted. Poison faults publish as degraded — the
 // observable consequence — and everything else under its fault kind.
 func (s *Server) publishFaultEvent(route string, kind fault.Kind) {
-	if s.wal == nil {
-		return
-	}
-	ev := wal.Event{Kind: wal.EventFault, Route: route, Detail: kind.String()}
+	ev := WatchEvent{Kind: EventFault, Route: route, Detail: kind.String()}
 	if kind == fault.Poison {
-		ev.Kind = wal.EventDegraded
+		ev.Kind = EventDegraded
 		ev.Detail = "cache-bypass"
 	}
-	s.wal.Events().Publish(ev)
+	s.hub.publish(ev)
 }
 
 // FaultStats is the cumulative fault-injection accounting /v1/healthz

@@ -197,11 +197,11 @@ func registerWALMetrics(reg *obs.Registry, s *Server) {
 	reg.Func("wal_append_errors_total", "decision commits the log failed to persist", obs.KindCounter,
 		func() float64 { return float64(s.walAppendErrs.Load()) })
 	reg.Func("watch_subscribers", "live /v1/watch streams", obs.KindGauge,
-		func() float64 { return float64(s.watchers.Load()) })
+		func() float64 { return float64(s.hub.subscribers()) })
 	reg.Func("watch_events_total", "events delivered to /v1/watch streams", obs.KindCounter,
 		func() float64 { return float64(s.watchEvents.Load()) })
 	reg.Func("watch_events_dropped_total", "events dropped at slow /v1/watch subscribers", obs.KindCounter,
-		func() float64 { return float64(s.wal.Events().Dropped()) })
+		func() float64 { return float64(s.hub.dropped()) })
 }
 
 // flightLead records one cold fill computed as coalescing leader.

@@ -66,7 +66,9 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // of the admission counter. The observability endpoints themselves
 // (/metrics, /v1/metrics, /v1/traces, /v1/slo, /v1/flightrec) pass
 // through unrecorded, which is what keeps a scrape from perturbing the
-// telemetry it reads.
+// telemetry it reads. /v1/healthz is metered like any route but gets no
+// record: a gateway probes every member each second, and recording the
+// probes would push every real request out of the recorder's ring.
 func (s *Server) middleware(inner http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		idv := RequestID(r.Header, "", s.requests.Add(1))
@@ -116,7 +118,7 @@ func (s *Server) middleware(inner http.Handler) http.Handler {
 		ctx := r.Context()
 		start := s.clock()
 		var rec *obs.Record
-		if observed {
+		if observed && route != "/v1/healthz" {
 			ctx, rec = s.flightrec.Open(ctx, s.clock, start, r.Method, route, id)
 		}
 		sw := &statusWriter{ResponseWriter: w}

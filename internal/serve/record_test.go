@@ -162,6 +162,38 @@ func TestTracesAndFlightRecReadOneRing(t *testing.T) {
 	}
 }
 
+// TestHealthzMeteredNotRecorded: health probes are metered like any
+// request but leave the recorder's ring alone, so a gateway probing every
+// second does not push the real requests out of it.
+func TestHealthzMeteredNotRecorded(t *testing.T) {
+	h := newTestServer(t).Handler()
+	if rec := getWithID(h, "/v1/license?ctp=500&dest=india", "real"); rec.Code != http.StatusOK {
+		t.Fatalf("license: %d", rec.Code)
+	}
+	const probes = obs.DefaultRecorderCapacity + 64
+	for i := 0; i < probes; i++ {
+		if rec := do(t, h, "GET", "/v1/healthz", ""); rec.Code != http.StatusOK {
+			t.Fatalf("probe %d: %d", i, rec.Code)
+		}
+	}
+
+	dump := flightRec(t, h)
+	if dump.Count != 1 || dump.Captures[0].TraceID != "real" {
+		t.Fatalf("flight recorder holds %d captures, want only the license request", dump.Count)
+	}
+	var traces TracesResponse
+	if err := json.Unmarshal(do(t, h, "GET", "/v1/traces", "").Body.Bytes(), &traces); err != nil {
+		t.Fatalf("decode /v1/traces: %v", err)
+	}
+	if traces.Count != 1 || traces.Traces[0].TraceID != "real" {
+		t.Fatalf("/v1/traces holds %d traces, want only the license request", traces.Count)
+	}
+	want := fmt.Sprintf(`http_requests_total{route="/v1/healthz",class="2xx"} %d`, probes)
+	if prom := do(t, h, "GET", "/metrics", "").Body.String(); !strings.Contains(prom, want+"\n") {
+		t.Errorf("/metrics lacks %s", want)
+	}
+}
+
 // TestRecordSealsInjectedPoison: a poisoned arrival's fault and degraded
 // mark reach the record from the fault injector itself, and its span
 // tree shows the cache bypassed and the decision recomputed.

@@ -13,6 +13,7 @@
 //	GET  /v1/apps       filterable application-requirement queries
 //	GET  /v1/threshold  the basic-premises snapshot (+ projections)
 //	GET  /v1/healthz    liveness, counters, cache statistics
+//	GET  /v1/watch      SSE stream of regime, fault and SLO events (needs Config.WAL)
 //	GET  /metrics       Prometheus text exposition (deterministic order)
 //	GET  /v1/metrics    the same registry as a JSON snapshot
 //	GET  /v1/traces     span trees of the flight recorder's recent requests
@@ -47,7 +48,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/catalog"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/parpool"
@@ -58,26 +58,27 @@ import (
 	"repro/internal/wal"
 )
 
+// DefaultAddr is hpcexportd's default listen address.
+const DefaultAddr = "localhost:8095"
+
 // Defaults applied by New for zero Config fields.
 const (
-	DefaultAddr           = "localhost:8095"
 	DefaultMaxInFlight    = 64
 	DefaultRequestTimeout = 10 * time.Second
 	DefaultMaxBatch       = 256
 	DefaultCacheSize      = 4096
 	DefaultDrainTimeout   = 5 * time.Second
 	DefaultSnapshotEvery  = 1024
-	DefaultMaxWatchers    = 16
 )
 
 // maxBodyBytes caps request bodies; a license batch at the default limits
 // is far below this.
 const maxBodyBytes = 1 << 20
 
-// Config configures a Server. The zero value serves on DefaultAddr with
-// the default limits, the wall clock, and no request log.
+// Config configures a Server. The zero value selects the default limits,
+// the wall clock, and no request log. The listener is the caller's: Serve
+// takes one.
 type Config struct {
-	Addr           string        // listen address for ListenAndServe
 	MaxInFlight    int           // concurrent requests admitted past the semaphore
 	RequestTimeout time.Duration // per-request deadline on waits (not on work in progress); see middleware
 	MaxBatch       int           // largest accepted /v1/license batch
@@ -110,21 +111,18 @@ type Config struct {
 
 	// WAL, when non-nil, mounts the durable decision log: every cached
 	// license decision is written through to it, the newest records of
-	// the keys the decision cache can hold are recomputed into it at New
-	// (warm start), and the /v1/watch endpoint streams its commit events.
-	// The caller owns the log's lifecycle (Open before New, Close after
-	// Serve returns).
+	// the keys the decision cache can hold are recomputed into the cache
+	// at New (warm start), and the server opens /v1/watch, the stream of
+	// regime transitions between committed decisions and of fault,
+	// degraded and SLO events. The caller owns the log's lifecycle (Open
+	// before New, Close after Serve returns); the watch streams belong to
+	// the server, and Serve's drain ends them.
 	WAL *wal.Log
 
 	// SnapshotEvery triggers snapshot compaction after that many logged
 	// decisions; 0 means DefaultSnapshotEvery when a WAL is mounted, and
 	// a negative value disables compaction.
 	SnapshotEvery int
-
-	// MaxWatchers bounds concurrent /v1/watch streams (they bypass the
-	// in-flight semaphore precisely so they cannot starve it, and need
-	// their own limit). 0 means DefaultMaxWatchers.
-	MaxWatchers int
 
 	// SLO, when active, mounts the burn-rate engine: every judged route
 	// gets multi-window burn rates over its availability (and optional
@@ -134,10 +132,6 @@ type Config struct {
 	// latency histograms is armed with it. An inactive profile leaves
 	// the exposition byte-identical to a pre-SLO daemon's.
 	SLO slo.Profile
-
-	// SLOSampleEvery is the minimum spacing between retained burn-rate
-	// history samples; 0 selects the engine default (15s).
-	SLOSampleEvery time.Duration
 
 	// FlightCapacity sizes the flight recorder's ring: one record per
 	// observed request, its capture and its span tree, behind both
@@ -163,28 +157,33 @@ type Server struct {
 	slo       *slo.Engine
 	flightrec *obs.Recorder
 
-	// walRegimeKnown/walRegimeBits track the threshold regime of the last
-	// committed decision, so the capture of the commit that changes it
-	// records the transition as a breaker anomaly.
-	walRegimeKnown atomic.Bool
-	walRegimeBits  atomic.Uint64
-
 	fault *fault.Plan         // nil disables fault injection
 	sleep func(time.Duration) // performs injected latency
 
 	// wal is the mounted decision log (nil when Config.WAL is nil), with
 	// the serve layer's accounting of its integration: replay admissions,
 	// replay rejections, append failures, commits since the last snapshot,
-	// the single-compactor latch, live watch streams, and delivered watch
-	// events.
+	// and the single-compactor latch.
 	wal           *wal.Log
 	walReplayed   atomic.Uint64
 	walMismatches atomic.Uint64
 	walAppendErrs atomic.Uint64
 	walSinceSnap  atomic.Uint64
 	walSnapBusy   atomic.Bool
-	watchers      atomic.Int64
-	watchEvents   atomic.Uint64
+
+	// walMu is held across each commit's Append and the regime detector
+	// behind it: lastRegime is the threshold of the newest committed
+	// decision (haveRegime once there is one), seeded by warm start from
+	// the newest recovered decision record, so regime events publish in
+	// log order and a transition across a restart is still one.
+	walMu      sync.Mutex
+	lastRegime float64
+	haveRegime bool
+
+	// hub carries the /v1/watch stream (nil without a log); watchEvents
+	// counts the events delivered live to streams.
+	hub         *hub
+	watchEvents atomic.Uint64
 
 	sem      chan struct{}
 	requests atomic.Uint64 // request ids / total admitted
@@ -198,10 +197,6 @@ type Server struct {
 	// between winning the key and computing, nil outside tests.
 	flights       singleflight.Group[*cachedDecision]
 	flightBarrier func(key string)
-
-	// systemsByName indexes the catalog by exact name, short-circuiting
-	// the linear scan for the common named-system request.
-	systemsByName map[string]catalog.System
 
 	// pool evaluates large license batches in parallel; built lazily by
 	// batchPool on the first batch big enough to want it. poolBusy is
@@ -217,9 +212,6 @@ type Server struct {
 
 // New builds a Server from the config, applying defaults to zero fields.
 func New(cfg Config) (*Server, error) {
-	if cfg.Addr == "" {
-		cfg.Addr = DefaultAddr
-	}
 	if cfg.MaxInFlight == 0 {
 		cfg.MaxInFlight = DefaultMaxInFlight
 	}
@@ -262,12 +254,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.WAL != nil && cfg.SnapshotEvery == 0 {
 		cfg.SnapshotEvery = DefaultSnapshotEvery
 	}
-	if cfg.MaxWatchers == 0 {
-		cfg.MaxWatchers = DefaultMaxWatchers
-	}
-	if cfg.MaxWatchers < 1 {
-		return nil, errors.New("serve: MaxWatchers must be at least 1")
-	}
 	s := &Server{
 		cfg:       cfg,
 		clock:     clock,
@@ -279,11 +265,6 @@ func New(cfg Config) (*Server, error) {
 		decisions: newDecisionLRU(cfg.CacheSize),
 		snapshots: NewLRU[string, *threshold.Snapshot](cfg.CacheSize),
 	}
-	all := catalog.All()
-	s.systemsByName = make(map[string]catalog.System, len(all))
-	for _, sys := range all {
-		s.systemsByName[sys.Name] = sys
-	}
 	if err := cfg.SLO.Validate(); err != nil {
 		return nil, err
 	}
@@ -293,6 +274,7 @@ func New(cfg Config) (*Server, error) {
 	// Warm start precedes metric registration so the read-at-scrape WAL
 	// instruments report the replay's accounting from the first scrape.
 	if s.wal != nil {
+		s.hub = &hub{}
 		s.warmStart()
 	}
 	s.met = newServerMetrics(s)
@@ -330,9 +312,9 @@ func (s *Server) routes() http.Handler {
 }
 
 // Serve accepts connections on ln until ctx is cancelled, then shuts down
-// gracefully: the listener closes immediately, in-flight requests get up
-// to DrainTimeout to complete, and stragglers are cut off. It returns nil
-// on a clean drain.
+// gracefully: the listener closes and every /v1/watch stream ends
+// immediately, in-flight requests get up to DrainTimeout to complete, and
+// stragglers are cut off. It returns nil on a clean drain.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	hs := &http.Server{
 		Handler:           s.handler,
@@ -345,13 +327,10 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		return err
 	case <-ctx.Done():
 	}
-	// Close the event hub before draining: every /v1/watch stream observes
-	// its channel close and returns, so long-lived watchers never hold the
-	// drain open. (wal.Log.Close is idempotent about this — the daemon
-	// closing the log afterwards is fine.)
-	if s.wal != nil {
-		s.wal.Events().Close()
-	}
+	// Close the watch hub before draining: every /v1/watch stream
+	// observes its channel close and returns, so long-lived watchers
+	// never hold the drain open.
+	s.hub.close()
 	dctx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
 	defer cancel()
 	if err := hs.Shutdown(dctx); err != nil {
@@ -366,15 +345,6 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		return err
 	}
 	return nil
-}
-
-// ListenAndServe listens on Config.Addr and calls Serve.
-func (s *Server) ListenAndServe(ctx context.Context) error {
-	ln, err := net.Listen("tcp", s.cfg.Addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ctx, ln)
 }
 
 // canonicalFloat renders a float the one way cache keys use.

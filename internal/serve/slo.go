@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/slo"
-	"repro/internal/wal"
 )
 
 // The SLO integration: a passive burn-rate engine over the per-route
@@ -23,7 +22,7 @@ import (
 // counters, plus the read-at-scrape slo_* gauges. Called from New after
 // newServerMetrics, only when the profile is active.
 func (s *Server) initSLO() {
-	s.slo = slo.New(s.cfg.SLOSampleEvery, s.onSLOTransition)
+	s.slo = slo.New(0, s.onSLOTransition)
 	for _, route := range obsRoutes {
 		if selfObserved(route) {
 			continue
@@ -95,13 +94,11 @@ func (s *Server) registerSLOMetrics() {
 // the requests that moved the burn rate are frozen alongside the
 // verdict.
 func (s *Server) onSLOTransition(t slo.Transition) {
-	if s.wal != nil {
-		s.wal.Events().Publish(wal.Event{
-			Kind:   wal.EventSLO,
-			Route:  t.Route,
-			Detail: t.Signal + " " + t.From + "->" + t.To,
-		})
-	}
+	s.hub.publish(WatchEvent{
+		Kind:   EventSLO,
+		Route:  t.Route,
+		Detail: t.Signal + " " + t.From + "->" + t.To,
+	})
 	if s.flightrec != nil {
 		s.flightrec.Pin("slo:" + t.String())
 	}

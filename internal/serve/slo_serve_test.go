@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/slo"
-	"repro/internal/wal"
 )
 
 // sloTestProfile is the profile most SLO tests mount: tight enough that
@@ -223,7 +222,7 @@ func TestSLOTransitionStreamsOnWatch(t *testing.T) {
 	for {
 		select {
 		case ev := <-events:
-			if ev.Kind != wal.EventSLO {
+			if ev.Kind != EventSLO {
 				continue // injected-fault events share the stream
 			}
 			if ev.Route != "/v1/license" {

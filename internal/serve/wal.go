@@ -4,7 +4,6 @@ import (
 	"context"
 	"hash/fnv"
 	"log/slog"
-	"math"
 	"strconv"
 	"strings"
 
@@ -95,8 +94,10 @@ type replaySlot struct {
 //
 // A key is judged by its newest record alone: when that record fails to
 // verify, the key is counted as a mismatch and left out, even if an
-// older record of it would verify. Returns the number of admitted
-// entries.
+// older record of it would verify. The newest decision record also
+// seeds the regime detector, so the first commit under another
+// threshold after a restart is a transition. Returns the number of
+// admitted entries.
 func (s *Server) warmStart() int {
 	rec := s.wal.Recovery()
 	capacity := s.decisions.capacity
@@ -106,6 +107,9 @@ func (s *Server) warmStart() int {
 		r := &rec.Records[i]
 		if r.Kind != wal.KindDecision {
 			continue
+		}
+		if !s.haveRegime {
+			s.lastRegime, s.haveRegime = r.Regime, true
 		}
 		if _, dup := seen[r.Key]; dup {
 			continue
@@ -190,20 +194,37 @@ func (s *Server) logWALSkip(key, reason string) {
 // the decision has already been served and cached, and the audit trail
 // degrades explicitly (wal_append_errors_total) rather than taking the
 // service down with it. The request's flight-recorder record gets the
-// commit outcome, and the commit that changes the threshold regime
-// records the transition as a breaker anomaly — so the capture that
-// crossed a control boundary is pinned with its surrounding context.
+// commit outcome.
+//
+// This is the one regime-transition detector. A committed decision under
+// a threshold other than the previous committed decision's publishes a
+// regime event on the watch stream and records the transition on the
+// request's capture as a breaker note and an anomaly, so the capture
+// that crossed a control boundary is pinned with its surrounding
+// context. walMu is held across Append, which serializes on the log's
+// own mutex anyway, so the comparison and the events follow log order.
 func (s *Server) walCommit(ctx context.Context, skey string, a *fillArgs, d *cachedDecision) {
 	if s.wal == nil {
 		return
 	}
 	rec := obs.RecordFrom(ctx)
+	th := float64(a.th)
+	s.walMu.Lock()
 	err := s.wal.Append(wal.Record{
 		Kind:   wal.KindDecision,
 		Key:    skey,
-		Regime: float64(a.th),
+		Regime: th,
 		Hash:   d.hash,
 	})
+	prev, transition := s.lastRegime, false
+	if err == nil {
+		transition = s.haveRegime && th != prev
+		s.lastRegime, s.haveRegime = th, true
+		if transition {
+			s.hub.publish(WatchEvent{Kind: EventRegime, Key: skey, Mtops: th, PrevMtops: prev})
+		}
+	}
+	s.walMu.Unlock()
 	if err != nil {
 		s.walAppendErrs.Add(1)
 		rec.SetWAL("append-error")
@@ -214,16 +235,9 @@ func (s *Server) walCommit(ctx context.Context, skey string, a *fillArgs, d *cac
 		return
 	}
 	rec.SetWAL("committed")
-	bits := math.Float64bits(float64(a.th))
-	if s.walRegimeKnown.Load() {
-		if prev := s.walRegimeBits.Swap(bits); prev != bits {
-			rec.SetBreaker("regime " + canonicalFloat(math.Float64frombits(prev)) +
-				"->" + canonicalFloat(float64(a.th)))
-			rec.AddAnomaly("regime-transition")
-		}
-	} else {
-		s.walRegimeBits.Store(bits)
-		s.walRegimeKnown.Store(true)
+	if transition {
+		rec.SetBreaker("regime " + canonicalFloat(prev) + "->" + canonicalFloat(th))
+		rec.AddAnomaly("regime-transition")
 	}
 	if every := s.cfg.SnapshotEvery; every > 0 {
 		if n := s.walSinceSnap.Add(1); int(n) >= every {
@@ -283,7 +297,7 @@ func (s *Server) walHealth() *WALHealth {
 		AppendErrors:  s.walAppendErrs.Load(),
 		TornRecords:   rec.TornRecords,
 		CorruptRecs:   rec.CorruptRecords,
-		Watchers:      s.wal.Events().Subscribers(),
-		DroppedEvents: s.wal.Events().Dropped(),
+		Watchers:      s.hub.subscribers(),
+		DroppedEvents: s.hub.dropped(),
 	}
 }

@@ -5,11 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -356,7 +359,7 @@ func TestWatchWithoutWALIs404(t *testing.T) {
 
 // watchStream opens /v1/watch against a live server and returns decoded
 // events on a channel.
-func watchStream(t *testing.T, ctx context.Context, base, since string) <-chan wal.Event {
+func watchStream(t *testing.T, ctx context.Context, base, since string) <-chan WatchEvent {
 	t.Helper()
 	url := base + "/v1/watch"
 	if since != "" {
@@ -376,7 +379,7 @@ func watchStream(t *testing.T, ctx context.Context, base, since string) <-chan w
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("watch content type: %q", ct)
 	}
-	events := make(chan wal.Event, 16)
+	events := make(chan WatchEvent, 16)
 	go func() {
 		defer resp.Body.Close()
 		defer close(events)
@@ -386,7 +389,7 @@ func watchStream(t *testing.T, ctx context.Context, base, since string) <-chan w
 			if !strings.HasPrefix(line, "data: ") {
 				continue
 			}
-			var ev wal.Event
+			var ev WatchEvent
 			if json.Unmarshal([]byte(line[len("data: "):]), &ev) == nil {
 				events <- ev
 			}
@@ -422,7 +425,7 @@ func TestWatchStreamsRegimeTransitions(t *testing.T) {
 
 	select {
 	case ev := <-events:
-		if ev.Kind != wal.EventRegime {
+		if ev.Kind != EventRegime {
 			t.Fatalf("event kind = %q, want regime", ev.Kind)
 		}
 		if ev.PrevMtops != 2000 || ev.Mtops != 7000 {
@@ -442,7 +445,7 @@ func TestWatchStreamsRegimeTransitions(t *testing.T) {
 	replayed := watchStream(t, ctx2, ts.URL, "0")
 	select {
 	case ev := <-replayed:
-		if ev.Kind != wal.EventRegime || ev.Mtops != 7000 {
+		if ev.Kind != EventRegime || ev.Mtops != 7000 {
 			t.Fatalf("replayed event = %+v", ev)
 		}
 	case <-ctx2.Done():
@@ -451,29 +454,196 @@ func TestWatchStreamsRegimeTransitions(t *testing.T) {
 }
 
 func TestWatchStreamEndsOnHubClose(t *testing.T) {
-	dir := t.TempDir()
-	s, l := newWALServer(t, dir, nil)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	s, l := newWALServer(t, t.TempDir(), nil)
+	defer func() { _ = l.Close() }()
+	ln, err := net.Listen("tcp", "localhost:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(sctx, ln) }()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	events := watchStream(t, ctx, ts.URL, "")
+	events := watchStream(t, ctx, "http://"+ln.Addr().String(), "")
 
-	// Closing the log closes the hub; the stream must end promptly — this
-	// is the property that keeps graceful drain from waiting out watchers.
-	if err := l.Close(); err != nil {
-		t.Fatalf("close log: %v", err)
-	}
+	// Cancelling Serve's context closes the hub before the drain: the
+	// stream must end promptly and Serve return cleanly within
+	// DrainTimeout — the property that keeps graceful drain from waiting
+	// out watchers.
+	begin := time.Now()
+	stop()
 	select {
-	case _, ok := <-events:
-		if ok {
-			// Drain any buffered event; the channel must still close.
-			for range events {
-			}
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("Serve returned %v after drain", err)
+		}
+		if d := time.Since(begin); d >= DefaultDrainTimeout {
+			t.Fatalf("Serve took %v to drain, want under %v", d, DefaultDrainTimeout)
 		}
 	case <-ctx.Done():
-		t.Fatal("watch stream did not end after hub close")
+		t.Fatal("Serve did not return after its context was cancelled")
+	}
+	for {
+		select {
+		case _, ok := <-events:
+			if !ok {
+				return
+			}
+		case <-ctx.Done():
+			t.Fatal("watch stream did not end after the drain")
+		}
+	}
+}
+
+// regimeEvents returns the regime events the server's hub still holds,
+// oldest first.
+func regimeEvents(s *Server) []WatchEvent {
+	sub, backlog, _ := s.hub.subscribe(0)
+	s.hub.unsubscribe(sub)
+	var out []WatchEvent
+	for _, ev := range backlog {
+		if ev.Kind == EventRegime {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// TestRegimeTransitionAcrossRestart: warm start seeds the one regime
+// detector from the newest recovered decision, so the first commit under
+// another threshold after a restart is a transition on both records an
+// operator reads: one regime event naming the commit's key on the watch
+// stream, and the commit's capture pinned with its breaker note.
+func TestRegimeTransitionAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	s1, l1 := newWALServer(t, dir, nil)
+	if rec := do(t, s1.Handler(), "GET", "/v1/license?ctp=21125&dest=india&endUse=before&threshold=2000", ""); rec.Code != http.StatusOK {
+		t.Fatalf("commit at 2000: %d", rec.Code)
+	}
+	if err := l1.Close(); err != nil {
+		t.Fatalf("close log: %v", err)
+	}
+
+	s2, l2 := newWALServer(t, dir, nil)
+	defer func() { _ = l2.Close() }()
+	h := s2.Handler()
+	if rec := getWithID(h, "/v1/license?ctp=21125&dest=india&endUse=after&threshold=7000", "crossing"); rec.Code != http.StatusOK {
+		t.Fatalf("commit at 7000: %d", rec.Code)
+	}
+	var key string
+	for _, c := range flightRec(t, h).Captures {
+		if c.TraceID == "crossing" {
+			key = c.Key
+		}
+	}
+	if !strings.Contains(key, "after") {
+		t.Fatalf("the 7000 commit's capture has key %q", key)
+	}
+
+	events := regimeEvents(s2)
+	if len(events) != 1 {
+		t.Fatalf("regime events after restart = %+v, want exactly one", events)
+	}
+	if ev := events[0]; ev.PrevMtops != 2000 || ev.Mtops != 7000 || ev.Key != key {
+		t.Fatalf("regime event = %+v, want 2000 -> 7000 for key %q", ev, key)
+	}
+
+	pinned := false
+	for _, pg := range flightRec(t, h).Pins {
+		c := pg.Captures[len(pg.Captures)-1]
+		if pg.Trigger == "request:regime-transition" && c.Key == key {
+			pinned = true
+			if c.Breaker != "regime 2000->7000" {
+				t.Errorf("pinned capture breaker = %q, want %q", c.Breaker, "regime 2000->7000")
+			}
+		}
+	}
+	if !pinned {
+		t.Fatal("the commit that crossed the restart boundary was not pinned as a regime transition")
+	}
+}
+
+// TestRegimeEventsMatchPins: concurrent commits of distinct keys under
+// alternating thresholds give one consistent record. The regime events
+// chain — each one's PrevMtops is the previous one's Mtops — and they
+// name exactly the keys whose captures carry the regime-transition
+// anomaly, each with the matching breaker note.
+func TestRegimeEventsMatchPins(t *testing.T) {
+	const n = 24
+	s, l := newWALServer(t, t.TempDir(), nil)
+	defer func() { _ = l.Close() }()
+	h := s.Handler()
+
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			target := fmt.Sprintf("/v1/license?ctp=21125&dest=india&endUse=race%d&threshold=%d",
+				i, []int{2000, 7000}[i%2])
+			if rec := do(t, h, "GET", target, ""); rec.Code != http.StatusOK {
+				t.Errorf("%s: %d", target, rec.Code)
+			}
+		}(i)
+	}
+	wg.Wait()
+
+	events := regimeEvents(s)
+	if len(events) == 0 {
+		t.Fatal("commits under two thresholds published no regime event")
+	}
+	fromEvents := map[string]string{}
+	for i, ev := range events {
+		if ev.Mtops == ev.PrevMtops {
+			t.Errorf("event %d is no transition: %+v", i, ev)
+		}
+		if i > 0 && ev.PrevMtops != events[i-1].Mtops {
+			t.Errorf("event %d starts at %v, but event %d ended at %v", i, ev.PrevMtops, i-1, events[i-1].Mtops)
+		}
+		fromEvents[ev.Key] = fmt.Sprintf("regime %v->%v", ev.PrevMtops, ev.Mtops)
+	}
+	fromCaptures := map[string]string{}
+	for _, c := range flightRec(t, h).Captures {
+		if slices.Contains(c.Anomalies, "regime-transition") {
+			fromCaptures[c.Key] = c.Breaker
+		}
+	}
+	if !reflect.DeepEqual(fromEvents, fromCaptures) {
+		t.Fatalf("regime events name %v, transition captures %v", fromEvents, fromCaptures)
+	}
+}
+
+// TestWatchSubscriberLimit: the hub admits maxWatchers streams and
+// answers the next 503, and healthz and the watch_subscribers gauge both
+// report the one count of live streams.
+func TestWatchSubscriberLimit(t *testing.T) {
+	s, l := newWALServer(t, t.TempDir(), nil)
+	defer func() { _ = l.Close() }()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for i := 0; i < maxWatchers; i++ {
+		watchStream(t, ctx, ts.URL, "")
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/watch")
+	if err != nil {
+		t.Fatalf("watch past the limit: %v", err)
+	}
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("watch past the limit: %d, want 503", resp.StatusCode)
+	}
+	if got := healthOf(t, s).WAL.Watchers; got != maxWatchers {
+		t.Errorf("healthz watchers = %d, want %d", got, maxWatchers)
+	}
+	want := fmt.Sprintf("\nwatch_subscribers %d\n", maxWatchers)
+	if prom := do(t, s.Handler(), "GET", "/metrics", "").Body.String(); !strings.Contains(prom, want) {
+		t.Errorf("/metrics lacks %q", strings.TrimSpace(want))
 	}
 }
 

@@ -4,21 +4,20 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
-
-	"repro/internal/wal"
 )
 
-// handleWatch streams WAL commit events — threshold-regime transitions
-// and injected fault/degraded events — as Server-Sent Events. The
-// endpoint exists only when a decision log is mounted (404 otherwise).
+// handleWatch streams the server's watch events — threshold-regime
+// transitions of committed decisions, injected fault/degraded events and
+// SLO state changes — as Server-Sent Events. The endpoint exists only
+// when a decision log is mounted (404 otherwise).
 //
 // Watch streams deliberately sidestep two pieces of the standard request
 // machinery (see middleware): they are long-lived, so holding an
 // in-flight semaphore slot would let a handful of watchers starve the
 // query endpoints, and the request deadline would cut a stream that is
 // meant to last until its client leaves or the server drains. They get
-// their own concurrency bound (Config.MaxWatchers) and their own
-// instruments (watch_subscribers, watch_events_total,
+// their own concurrency bound (maxWatchers, enforced by the hub) and
+// their own instruments (watch_subscribers, watch_events_total,
 // watch_events_dropped_total), registered only when a WAL is mounted —
 // which is also why this endpoint is exempt from the idle-scrape
 // byte-identity rule only in WAL-mounted deployments, as documented in
@@ -27,14 +26,14 @@ import (
 // Wire format, one frame per event:
 //
 //	id: <seq>
-//	event: <regime|fault|degraded>
-//	data: <JSON wal.Event>
+//	event: <regime|fault|degraded|slo>
+//	data: <JSON WatchEvent>
 //
 // ?since=N replays ring-buffered events with Seq > N first, so a client
 // that reconnects after a drop resumes from its last-seen cursor (bounded
 // by the hub's ring; older events are gone).
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
-	if s.wal == nil {
+	if s.hub == nil {
 		writeError(w, http.StatusNotFound, "no decision log mounted; start the daemon with -data-dir")
 		return
 	}
@@ -43,14 +42,6 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported by connection")
 		return
 	}
-	if n := s.watchers.Add(1); int(n) > s.cfg.MaxWatchers {
-		s.watchers.Add(-1)
-		writeError(w, http.StatusServiceUnavailable,
-			"watch subscriber limit (%d) reached", s.cfg.MaxWatchers)
-		return
-	}
-	defer s.watchers.Add(-1)
-
 	var since uint64
 	if v := r.URL.Query().Get("since"); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
@@ -61,8 +52,13 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		since = n
 	}
 
-	sub, backlog := s.wal.Events().Subscribe(since, 64)
-	defer s.wal.Events().Unsubscribe(sub)
+	events, backlog, ok := s.hub.subscribe(since)
+	if !ok {
+		writeError(w, http.StatusServiceUnavailable,
+			"watch subscriber limit (%d) reached", maxWatchers)
+		return
+	}
+	defer s.hub.unsubscribe(events)
 
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
@@ -85,9 +81,9 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 			return
-		case ev, ok := <-sub.C:
+		case ev, ok := <-events:
 			if !ok {
-				// Hub closed: the daemon is draining. Ending the stream
+				// Hub closed: the server is draining. Ending the stream
 				// here is what lets graceful shutdown complete without
 				// waiting out long-lived watchers.
 				return
@@ -102,7 +98,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeWatchEvent renders one SSE frame; false means the client is gone.
-func writeWatchEvent(w http.ResponseWriter, ev wal.Event) bool {
+func writeWatchEvent(w http.ResponseWriter, ev WatchEvent) bool {
 	data, err := json.Marshal(ev)
 	if err != nil {
 		return false
@@ -118,7 +114,3 @@ func writeWatchEvent(w http.ResponseWriter, ev wal.Event) bool {
 	_, werr := w.Write(buf)
 	return werr == nil
 }
-
-// WatchEvent is the decoded form of one /v1/watch event, re-exported so
-// API consumers need not import internal/wal.
-type WatchEvent = wal.Event

@@ -18,9 +18,9 @@
 // acknowledged — and surfaces every checksum mismatch as a counted,
 // logged skip, never a panic and never a silent loss.
 //
-// On top of the log, every Append feeds an in-process Hub: subscribers
-// (the serve layer's /v1/watch endpoint) see threshold-regime
-// transitions and injected fault/degraded events as they commit.
+// The log only logs: it appends, rotates, snapshots, recovers and
+// closes. What a commit means (a regime transition, an event on the
+// watch stream) is decided by the serve layer that commits it.
 package wal
 
 import (
@@ -35,11 +35,9 @@ import (
 	"sync/atomic"
 )
 
-// Defaults applied by Open for zero Options fields.
-const (
-	DefaultSegmentBytes = 4 << 20
-	DefaultHubRing      = 256
-)
+// DefaultSegmentBytes is the segment size Open applies when
+// Options.SegmentBytes is zero.
+const DefaultSegmentBytes = 4 << 20
 
 // FsyncPolicy says when Append pushes bytes to stable storage.
 type FsyncPolicy struct {
@@ -91,7 +89,6 @@ func (p FsyncPolicy) String() string {
 type Options struct {
 	Dir          string
 	SegmentBytes int64 // rotate once a segment exceeds this; 0 = DefaultSegmentBytes
-	HubRing      int   // replayable event-ring capacity; 0 = DefaultHubRing
 
 	// Fsync is the append durability barrier. The zero value is
 	// FsyncNever; FsyncAlways comes from setting it, or from
@@ -143,7 +140,6 @@ type Log struct {
 	policy  FsyncPolicy
 	opener  func(path string, reuseLen int64) (segmentFile, error)
 
-	hub      *Hub
 	recovery Recovery
 
 	appends     atomic.Uint64
@@ -152,14 +148,12 @@ type Log struct {
 	compactions atomic.Uint64
 	segSeq      atomic.Uint64
 
-	mu         sync.Mutex
-	f          segmentFile
-	size       int64
-	sinceSync  int
-	buf        []byte
-	lastRegime float64
-	haveRegime bool
-	closed     bool
+	mu        sync.Mutex
+	f         segmentFile
+	size      int64
+	sinceSync int
+	buf       []byte
+	closed    bool
 }
 
 // Open opens (or creates) the log in opts.Dir, recovering any existing
@@ -177,9 +171,6 @@ func Open(opts Options) (*Log, error) {
 	if opts.SegmentBytes < segmentHeaderBytes+frameHeaderBytes {
 		return nil, fmt.Errorf("wal: SegmentBytes %d is below one header and frame", opts.SegmentBytes)
 	}
-	if opts.HubRing == 0 {
-		opts.HubRing = DefaultHubRing
-	}
 	if opts.opener == nil {
 		opts.opener = openSegmentFile
 	}
@@ -195,17 +186,7 @@ func Open(opts Options) (*Log, error) {
 		segSize:  opts.SegmentBytes,
 		policy:   opts.Fsync,
 		opener:   opts.opener,
-		hub:      NewHub(opts.HubRing),
 		recovery: rec,
-	}
-	// The last replayed decision seeds regime-transition detection, so a
-	// threshold change across a restart still surfaces as an event.
-	for i := len(rec.Records) - 1; i >= 0; i-- {
-		if rec.Records[i].Kind == KindDecision {
-			l.lastRegime = rec.Records[i].Regime
-			l.haveRegime = true
-			break
-		}
 	}
 	if err := l.openSegment(appendSeq, reuseLen); err != nil {
 		return nil, err
@@ -246,11 +227,6 @@ func (l *Log) openSegment(seq uint64, reuseLen int64) error {
 // returned value is shared and must be treated as read-only.
 func (l *Log) Recovery() *Recovery { return &l.recovery }
 
-// Events returns the log's commit/event hub. The serve layer publishes
-// degraded and fault events into it; the log itself publishes
-// threshold-regime transitions as they commit.
-func (l *Log) Events() *Hub { return l.hub }
-
 // Stats returns the cumulative operation counters.
 func (l *Log) Stats() Stats {
 	return Stats{
@@ -264,9 +240,7 @@ func (l *Log) Stats() Stats {
 
 // Append commits one record. It returns only after the record's complete
 // frame is written (and synced, per the fsync policy): a nil return is
-// the durability acknowledgment the recovery contract protects. A
-// decision whose regime differs from the previous committed decision's
-// also publishes a regime-transition event to the hub.
+// the durability acknowledgment the recovery contract protects.
 func (l *Log) Append(rec Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -291,18 +265,6 @@ func (l *Log) Append(rec Record) error {
 		l.sinceSync = 0
 	}
 	l.appends.Add(1)
-	if rec.Kind == KindDecision {
-		if l.haveRegime && rec.Regime != l.lastRegime {
-			l.hub.Publish(Event{
-				Kind:      EventRegime,
-				Key:       rec.Key,
-				Mtops:     rec.Regime,
-				PrevMtops: l.lastRegime,
-			})
-		}
-		l.lastRegime = rec.Regime
-		l.haveRegime = true
-	}
 	if l.size >= l.segSize {
 		if err := l.rotateLocked(); err != nil {
 			return err
@@ -421,8 +383,7 @@ func (l *Log) removeBelow(seq uint64) error {
 	return syncDir(l.dir)
 }
 
-// Close seals the live segment and closes the hub: every watch
-// subscriber's channel closes, and further appends fail.
+// Close seals the live segment; further appends fail.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -430,7 +391,6 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	l.hub.Close()
 	if err := l.f.Sync(); err != nil {
 		_ = l.f.Close()
 		return err

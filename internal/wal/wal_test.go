@@ -370,74 +370,3 @@ func TestDamagedSnapshotFallsBackToSegments(t *testing.T) {
 		t.Fatalf("recovered %+v, want just the tail", rec.Records)
 	}
 }
-
-func TestRegimeTransitionPublishesEvent(t *testing.T) {
-	dir := t.TempDir()
-	l := mustOpen(t, Options{Dir: dir})
-	sub, backlog := l.Events().Subscribe(0, 8)
-	if len(backlog) != 0 {
-		t.Fatalf("fresh hub has backlog %+v", backlog)
-	}
-	mustAppend(t, l, mkRecord(1, 2000), mkRecord(2, 2000))
-	select {
-	case ev := <-sub.C:
-		t.Fatalf("same-regime appends published %+v", ev)
-	default:
-	}
-	mustAppend(t, l, mkRecord(3, 7000))
-	ev := <-sub.C
-	if ev.Kind != EventRegime || ev.PrevMtops != 2000 || ev.Mtops != 7000 {
-		t.Fatalf("transition event = %+v", ev)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if _, ok := <-sub.C; ok {
-		t.Fatal("subscriber channel not closed by log Close")
-	}
-
-	// The last recovered decision seeds transition detection across a
-	// restart: the first append under a different regime still fires.
-	l2 := mustOpen(t, Options{Dir: dir})
-	defer func() { _ = l2.Close() }()
-	sub2, _ := l2.Events().Subscribe(0, 8)
-	mustAppend(t, l2, mkRecord(4, 10600))
-	ev2 := <-sub2.C
-	if ev2.Kind != EventRegime || ev2.PrevMtops != 7000 || ev2.Mtops != 10600 {
-		t.Fatalf("post-restart transition event = %+v", ev2)
-	}
-}
-
-func TestHubBacklogDropsAndClose(t *testing.T) {
-	h := NewHub(4)
-	for i := 1; i <= 6; i++ {
-		h.Publish(Event{Kind: EventFault, Detail: fmt.Sprintf("f%d", i)})
-	}
-	// Ring holds the newest 4; since=3 filters to seq 4..6.
-	_, backlog := h.Subscribe(3, 1)
-	if len(backlog) != 3 || backlog[0].Seq != 4 || backlog[2].Seq != 6 {
-		t.Fatalf("backlog = %+v, want seqs 4..6", backlog)
-	}
-
-	slow, _ := h.Subscribe(0, 1)
-	h.Publish(Event{Kind: EventFault})
-	h.Publish(Event{Kind: EventFault}) // buffer full: dropped, counted
-	if h.Dropped() == 0 {
-		t.Fatal("slow-subscriber drop not counted")
-	}
-	if got := h.Subscribers(); got != 2 {
-		t.Fatalf("Subscribers = %d, want 2", got)
-	}
-	h.Unsubscribe(slow)
-	if got := h.Subscribers(); got != 1 {
-		t.Fatalf("Subscribers after Unsubscribe = %d, want 1", got)
-	}
-	h.Unsubscribe(slow) // double-unsubscribe is a no-op
-
-	h.Close()
-	h.Publish(Event{Kind: EventFault}) // dropped silently after close
-	sub, _ := h.Subscribe(0, 1)
-	if _, ok := <-sub.C; ok {
-		t.Fatal("subscribe after Close must return a closed channel")
-	}
-}
