@@ -108,6 +108,20 @@ done
 kill "$scrapepid"
 scrapepid=""
 
+echo "== profile overrides naming a route the policy never applies to are refused =="
+# A fault override of a misspelled route, and an SLO override of a
+# self-observed one, would be accepted and govern nothing: the daemon
+# must refuse each at start-up (status 1), not serve until timeout kills
+# it (status 124).
+for spec in "-fault-profile=/v1/licence:error=1" "-slo=availability=0.99;/metrics:availability=0.999"; do
+	status=0
+	timeout 5 "$scrapedir/hpcexportd" -addr localhost:18104 -quiet "$spec" 2> /dev/null || status=$?
+	if [ "$status" != 1 ]; then
+		echo "ci.sh: hpcexportd $spec exited $status, want 1" >&2
+		exit 1
+	fi
+done
+
 echo "== chaos: exportctl converges against a faulted daemon =="
 # Seed 90 schedules error, error, poison for /v1/threshold: the single
 # review below needs two retries and then converges on a degraded

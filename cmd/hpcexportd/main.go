@@ -28,8 +28,10 @@
 // -fault-profile mounts deterministic fault injection (see README
 // "Running under faults"): a preset (none, flaky, slow, chaos) or a spec
 // like "error=0.3,latency=0.2,delay=2ms,poison=0.1", optionally with
-// per-route overrides ("error=0.1;/v1/license:error=0.5"). The same
-// -fault-seed replays the identical fault sequence; injected errors
+// per-route overrides ("error=0.1;/v1/license:error=0.5;/v1/threshold:off").
+// An override may name only an injectable route (/v1/apps, /v1/catalog,
+// /v1/license, /v1/threshold); any other is refused at start-up. The
+// same -fault-seed replays the identical fault sequence; injected errors
 // answer 503 with X-Fault-Injected, poisoned arrivals recompute without
 // caches and mark X-Degraded, and /v1/healthz reports the fault totals.
 //
@@ -49,6 +51,8 @@
 // recorder"): a profile like "availability=0.999,latency=50ms" with
 // optional per-route overrides ("...;/v1/healthz:off") sets error-budget
 // objectives per route, evaluated over 5m/1h/6h windows at every scrape.
+// Its grammar is the fault profile's; an override may name a judged
+// route (an injectable one or /v1/healthz), and any other is refused.
 // GET /v1/slo reports burn rates and page/ticket verdicts, /metrics
 // gains slo_burn_rate / slo_budget_remaining / slo_state gauges, and SLO
 // state transitions are published on /v1/watch when a log is mounted.
@@ -109,11 +113,11 @@ func main() {
 		drain     = flag.Duration("drain", serve.DefaultDrainTimeout, "shutdown drain window")
 		quiet     = flag.Bool("quiet", false, "disable per-request logging")
 		faultSeed = flag.Uint64("fault-seed", 0, "seed for the deterministic fault schedule (with -fault-profile)")
-		faultSpec = flag.String("fault-profile", "", "fault profile: none, flaky, slow, chaos, or an error=/latency=/delay=/poison= spec; empty disables injection")
+		faultSpec = flag.String("fault-profile", "", "fault profile: none, flaky, slow, chaos, or an error=/latency=/delay=/poison= spec with optional ROUTE: overrides (ROUTE:off exempts a route); empty disables injection")
 		dataDir   = flag.String("data-dir", "", "directory for the durable decision log; empty runs without durability")
 		fsyncSpec = flag.String("fsync", "always", "decision-log durability barrier: always, never, or every=N (with -data-dir)")
 		snapEvery = flag.Int("snapshot-every", serve.DefaultSnapshotEvery, "decision commits between snapshot compactions (with -data-dir)")
-		sloSpec   = flag.String("slo", "", "SLO profile, e.g. availability=0.999,latency=50ms;/v1/healthz:off; empty disables the burn-rate engine")
+		sloSpec   = flag.String("slo", "", "SLO profile, e.g. availability=0.999,latency=50ms;/v1/healthz:off (ROUTE:off exempts a route); empty disables the burn-rate engine")
 		flightCap = flag.Int("flightrec", 0, "request records kept for /v1/flightrec and /v1/traces; 0 uses the default (256), negative disables both")
 		version   = flag.Bool("version", false, "print build information and exit")
 	)
@@ -140,10 +144,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "hpcexportd:", err)
 			os.Exit(1)
 		}
-		if prof.Active() {
-			fmt.Fprintf(os.Stderr, "hpcexportd: fault injection active: seed %d, profile %s\n",
-				*faultSeed, prof)
-		}
 	}
 
 	var sloProf slo.Profile
@@ -152,9 +152,6 @@ func main() {
 		if sloProf, err = slo.Parse(*sloSpec); err != nil {
 			fmt.Fprintln(os.Stderr, "hpcexportd:", err)
 			os.Exit(1)
-		}
-		if sloProf.Active() {
-			fmt.Fprintf(os.Stderr, "hpcexportd: SLO engine active: %s\n", sloProf)
 		}
 	}
 
@@ -198,6 +195,14 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hpcexportd:", err)
 		os.Exit(1)
+	}
+	// Announced once New has accepted the profiles' override routes.
+	if plan != nil && plan.Profile().Active() {
+		fmt.Fprintf(os.Stderr, "hpcexportd: fault injection active: seed %d, profile %s\n",
+			*faultSeed, plan.Profile())
+	}
+	if sloProf.Active() {
+		fmt.Fprintf(os.Stderr, "hpcexportd: SLO engine active: %s\n", sloProf)
 	}
 
 	ln, err := net.Listen("tcp", *addr)

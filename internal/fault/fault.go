@@ -26,11 +26,12 @@ package fault
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/routespec"
 )
 
 // Kind is the class of an injected fault. None means the arrival proceeds
@@ -82,13 +83,13 @@ type RouteProfile struct {
 	Poison  float64       // probability of a poisoned cache lookup
 }
 
-// active reports whether the profile injects anything at all.
-func (rp RouteProfile) active() bool {
+// Active reports whether the profile injects anything at all.
+func (rp RouteProfile) Active() bool {
 	return rp.Error > 0 || rp.Latency > 0 || rp.Poison > 0
 }
 
-// validate checks the bands.
-func (rp RouteProfile) validate() error {
+// Validate checks the bands.
+func (rp RouteProfile) Validate() error {
 	for _, r := range []struct {
 		name string
 		v    float64
@@ -109,8 +110,8 @@ func (rp RouteProfile) validate() error {
 	return nil
 }
 
-// spec renders the profile as its canonical clause text.
-func (rp RouteProfile) spec() string {
+// Spec renders the profile as its canonical clause text.
+func (rp RouteProfile) Spec() string {
 	var parts []string
 	if rp.Error > 0 {
 		parts = append(parts, "error="+formatRate(rp.Error))
@@ -126,99 +127,27 @@ func (rp RouteProfile) spec() string {
 
 func formatRate(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// Profile is a fault mix for a whole service: a default applied to every
-// injectable route, plus optional per-route overrides.
-type Profile struct {
-	Default RouteProfile
-	Routes  map[string]RouteProfile // per-route overrides; may be nil
-}
-
-// For returns the profile governing one route.
-func (p Profile) For(route string) RouteProfile {
-	if rp, ok := p.Routes[route]; ok {
-		return rp
-	}
-	return p.Default
-}
-
-// Validate checks every band of the profile.
-func (p Profile) Validate() error {
-	if err := p.Default.validate(); err != nil {
-		return err
-	}
-	for _, route := range sortedRoutes(p.Routes) {
-		if err := p.Routes[route].validate(); err != nil {
-			return fmt.Errorf("%w (route %s)", err, route)
-		}
-	}
-	return nil
-}
-
-// Active reports whether the profile injects anything at all.
-func (p Profile) Active() bool {
-	if p.Default.active() {
-		return true
-	}
-	for _, rp := range p.Routes {
-		if rp.active() {
-			return true
-		}
-	}
-	return false
-}
-
-// String renders the profile as a canonical Parse-able spec: the default
-// clause first, then route overrides sorted by route. An inactive
-// override exempts its route from the default and renders as
-// "ROUTE:error=0". A profile with no active default and no overrides
-// renders as "none".
-func (p Profile) String() string {
-	var clauses []string
-	if p.Default.active() {
-		clauses = append(clauses, p.Default.spec())
-	}
-	for _, route := range sortedRoutes(p.Routes) {
-		if rp := p.Routes[route]; rp.active() {
-			clauses = append(clauses, route+":"+rp.spec())
-		} else {
-			clauses = append(clauses, route+":error=0")
-		}
-	}
-	if len(clauses) == 0 {
-		return "none"
-	}
-	return strings.Join(clauses, ";")
-}
-
-// sortedRoutes returns the override routes in the one canonical order.
-func sortedRoutes(m map[string]RouteProfile) []string {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(m))
-	for r := range m {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
-}
+// Profile is a fault mix for a whole service: a default RouteProfile
+// applied to every injectable route, plus per-route overrides, in the
+// grammar internal/routespec defines. An inactive override, such as
+// "ROUTE:off", exempts its route from the default.
+type Profile = routespec.Profile[RouteProfile]
 
 // Parse builds a Profile from a preset name or a spec string.
 //
 // Presets: "none" (inject nothing), "flaky" (30% errors), "slow" (25%
 // latency at 5ms), "chaos" (30% errors, 20% latency at 2ms, 10% poison).
 //
-// A spec is clauses joined by ';'. Each clause is comma-separated k=v
-// pairs — error=RATE, latency=RATE, delay=DURATION, poison=RATE —
-// optionally prefixed "ROUTE:" (the route starting with '/') to override
-// one route instead of setting the default:
+// A spec is the routespec grammar: clauses joined by ';', each a
+// comma-separated list of k=v pairs — error=RATE, latency=RATE,
+// delay=DURATION, poison=RATE — optionally prefixed "ROUTE:" (the route
+// starting with '/') to override one route instead of setting the
+// default. "ROUTE:off" exempts a route:
 //
 //	error=0.3,latency=0.2,delay=2ms,poison=0.1
-//	error=0.1;/v1/license:error=0.5,poison=0.2
+//	error=0.1;/v1/license:error=0.5,poison=0.2;/v1/threshold:off
 func Parse(spec string) (Profile, error) {
 	switch strings.TrimSpace(spec) {
-	case "", "none":
-		return Profile{}, nil
 	case "flaky":
 		return Profile{Default: RouteProfile{Error: 0.3}}, nil
 	case "slow":
@@ -228,38 +157,7 @@ func Parse(spec string) (Profile, error) {
 			Error: 0.3, Latency: 0.2, Delay: 2 * time.Millisecond, Poison: 0.1,
 		}}, nil
 	}
-	var p Profile
-	for _, clause := range strings.Split(spec, ";") {
-		clause = strings.TrimSpace(clause)
-		if clause == "" {
-			continue
-		}
-		route := ""
-		body := clause
-		if strings.HasPrefix(clause, "/") {
-			i := strings.Index(clause, ":")
-			if i < 0 {
-				return Profile{}, fmt.Errorf("fault: route clause %q missing ':'", clause)
-			}
-			route, body = clause[:i], clause[i+1:]
-		}
-		rp, err := parseClause(body)
-		if err != nil {
-			return Profile{}, err
-		}
-		if route == "" {
-			p.Default = rp
-		} else {
-			if p.Routes == nil {
-				p.Routes = make(map[string]RouteProfile)
-			}
-			p.Routes[route] = rp
-		}
-	}
-	if err := p.Validate(); err != nil {
-		return Profile{}, err
-	}
-	return p, nil
+	return routespec.Parse("fault", spec, parseClause)
 }
 
 // parseClause parses one clause's k=v pairs into a RouteProfile.
@@ -321,9 +219,6 @@ func NewPlan(seed uint64, profile Profile) (*Plan, error) {
 	return &Plan{seed: seed, profile: profile, slots: make(map[string]uint64)}, nil
 }
 
-// Seed returns the plan's seed.
-func (p *Plan) Seed() uint64 { return p.seed }
-
 // Profile returns the plan's profile. The Routes map is shared; treat it
 // as read-only.
 func (p *Plan) Profile() Profile { return p.profile }
@@ -349,7 +244,7 @@ func (p *Plan) Taken(route string) uint64 {
 func (p *Plan) At(route string, slot uint64) Decision {
 	rp := p.profile.For(route)
 	d := Decision{Kind: None, Slot: slot}
-	if !rp.active() {
+	if !rp.Active() {
 		return d
 	}
 	u := unit(p.seed ^ hashString(route) ^ slot*0x9e3779b97f4a7c15)

@@ -162,7 +162,8 @@ func TestParsePresetsAndRoundTrip(t *testing.T) {
 }
 
 func TestParseSpecWithRouteOverride(t *testing.T) {
-	prof, err := Parse("error=0.1;/v1/license:error=0.5,poison=0.2")
+	// The padded clause governs /v1/license: the route is trimmed.
+	prof, err := Parse("error=0.1; /v1/license : error=0.5,poison=0.2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,33 +184,34 @@ func TestParseSpecWithRouteOverride(t *testing.T) {
 }
 
 // TestInactiveOverrideSurvivesString: an override that injects nothing
-// exempts its route from the default, so String must keep it. Dropping
-// it rendered "error=0.5;/v1/healthz:error=0" as "error=0.5", which
-// reparses to a profile that faults /v1/healthz half the time.
+// exempts its route from the default, so String must keep it, as
+// "ROUTE:off". Dropping it rendered "error=0.5;/v1/threshold:error=0" as
+// "error=0.5", which reparses to a profile that faults /v1/threshold half
+// the time.
 func TestInactiveOverrideSurvivesString(t *testing.T) {
-	const spec = "error=0.5;/v1/healthz:error=0"
-	prof, err := Parse(spec)
+	prof, err := Parse("error=0.5;/v1/threshold:error=0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := prof.String(); got != spec {
-		t.Fatalf("String() = %q, want %q", got, spec)
+	const want = "error=0.5;/v1/threshold:off"
+	if got := prof.String(); got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
 	}
 	again, err := Parse(prof.String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rp := again.For("/v1/healthz"); rp.active() {
-		t.Errorf("reparsed profile faults /v1/healthz: %+v", rp)
+	if rp := again.For("/v1/threshold"); rp.Active() {
+		t.Errorf("reparsed profile faults /v1/threshold: %+v", rp)
 	}
 	if !prof.Active() {
 		t.Error("a profile with a 50% default error rate must be active")
 	}
-	exempt, err := Parse("/v1/healthz:error=0")
+	exempt, err := Parse("/v1/threshold:error=0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exempt.Active() || exempt.String() != "/v1/healthz:error=0" {
+	if exempt.Active() || exempt.String() != "/v1/threshold:off" {
 		t.Errorf("exemption alone: Active %v, String %q; want inactive and kept", exempt.Active(), exempt.String())
 	}
 }
@@ -260,7 +262,12 @@ func FuzzFaultProfileRoundTrip(f *testing.F) {
 			}
 			unnamed += "/x"
 		}
-		routes := append(append(sortedRoutes(prof.Routes), sortedRoutes(again.Routes)...), unnamed)
+		routes := []string{unnamed}
+		for _, p := range []Profile{prof, again} {
+			for route := range p.Routes {
+				routes = append(routes, route)
+			}
+		}
 		for _, route := range routes {
 			for slot := uint64(0); slot < 64; slot++ {
 				if da, db := a.At(route, slot), b.At(route, slot); da != db {
@@ -284,10 +291,16 @@ func TestParseErrors(t *testing.T) {
 		"error=x",                         // unparsable rate
 		"delay=fast,latency=0.1",          // unparsable duration
 		"/v1/license error=1",             // route clause missing ':'
+		"off",                             // off without a route
+		"/v1/license:error=0.1; /v1/license :error=0.2", // route given twice
+		"error=0.1;poison=0.1",                          // two default clauses
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) accepted", spec)
 		}
+	}
+	if prof, err := Parse("error=0.1;/v1/license:off"); err != nil || prof.For("/v1/license").Active() {
+		t.Errorf("Parse of a ROUTE:off exemption: %+v, %v", prof, err)
 	}
 }
 

@@ -432,31 +432,7 @@ func (w *statusWriter) WriteHeader(code int) {
 // Serve accepts connections on ln until ctx is cancelled, then drains
 // gracefully for up to DrainTimeout.
 func (g *Gateway) Serve(ctx context.Context, ln net.Listener) error {
-	hs := &http.Server{
-		Handler:           g.handler,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	dctx, cancel := context.WithTimeout(context.Background(), g.cfg.DrainTimeout)
-	defer cancel()
-	if err := hs.Shutdown(dctx); err != nil {
-		closeErr := hs.Close()
-		<-errc
-		if closeErr != nil {
-			return closeErr
-		}
-		return err
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
+	return serve.ServeHandler(ctx, ln, g.handler, g.cfg.DrainTimeout, nil)
 }
 
 // discardHandler is a no-op slog handler for the nil-Logger default.

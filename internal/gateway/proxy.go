@@ -57,17 +57,6 @@ func writeProxyResult(w http.ResponseWriter, res *proxyResult) {
 	_, _ = w.Write(res.body)
 }
 
-// retryableStatus mirrors the client's retry policy: statuses that mean
-// "try again", not "your request is wrong".
-func retryableStatus(code int) bool {
-	switch code {
-	case http.StatusTooManyRequests, http.StatusInternalServerError,
-		http.StatusBadGateway, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-		return true
-	}
-	return false
-}
-
 // forwardOnce performs one exchange with one backend under the request
 // ID id, buffering the answer and charging the backend's instruments.
 func (g *Gateway) forwardOnce(ctx context.Context, b *backend, method, uri string, body []byte, id []string) (*proxyResult, error) {
@@ -194,7 +183,7 @@ func (g *Gateway) forwardKeyed(ctx context.Context, key, method, uri string, bod
 			continue
 		}
 		last, lastErr = res, nil
-		if !retryableStatus(res.status) {
+		if !serve.RetryableStatus(res.status) {
 			return res, nil
 		}
 		if attempt < g.cfg.Attempts-1 {

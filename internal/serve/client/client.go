@@ -377,17 +377,6 @@ func (c *Client) breakerResult(ok, probe bool) {
 	}
 }
 
-// retryableStatus reports whether a status code is safe to retry on an
-// idempotent request: transient server-side conditions, not client error.
-func retryableStatus(code int) bool {
-	switch code {
-	case http.StatusTooManyRequests, http.StatusInternalServerError,
-		http.StatusBadGateway, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-		return true
-	}
-	return false
-}
-
 // roundTrip runs one logical API call under the retry policy and returns
 // the successful response body. Only idempotent calls retry; a breaker
 // rejection, a non-retryable status, or context cancellation ends the
@@ -467,7 +456,7 @@ func (c *Client) attempt(ctx context.Context, method, u, contentType string, bod
 		} else {
 			apiErr.Message = strings.TrimSpace(string(b))
 		}
-		return nil, retryableStatus(resp.StatusCode), apiErr
+		return nil, serve.RetryableStatus(resp.StatusCode), apiErr
 	}
 	return b, false, nil
 }

@@ -7,15 +7,69 @@ package serve
 // every layer of the system agrees on identity. These hooks expose just
 // enough of the server's parsing and resolution machinery to compute
 // that key outside a Server instance — the logic is shared with the
-// request path, not duplicated, so the two can never drift.
+// request path, not duplicated, so the two can never drift. The
+// listen-and-drain loop and the retryable-status rule are shared the
+// same way, with the gateway and the client respectively.
 
 import (
+	"context"
+	"errors"
+	"net"
 	"net/http"
 	"strconv"
 	"sync"
+	"time"
 
 	"repro/internal/catalog"
 )
+
+// ServeHandler serves h on ln until ctx is cancelled, then drains:
+// beforeDrain runs when non-nil, the listener closes, in-flight requests
+// get up to drain to complete, and stragglers are cut off. It returns nil
+// on a clean drain. Server.Serve and the gateway's Serve both run it.
+func ServeHandler(ctx context.Context, ln net.Listener, h http.Handler, drain time.Duration, beforeDrain func()) error {
+	hs := &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- hs.Serve(ln) }()
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+	}
+	if beforeDrain != nil {
+		beforeDrain()
+	}
+	dctx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	if err := hs.Shutdown(dctx); err != nil {
+		closeErr := hs.Close()
+		<-errc
+		if closeErr != nil {
+			return closeErr
+		}
+		return err
+	}
+	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	return nil
+}
+
+// RetryableStatus reports whether a status code is safe to retry on an
+// idempotent request: a transient server-side condition (429 or a 5xx
+// overload status), not a client error. The client's retry policy and
+// the gateway's forwarding loop both follow it.
+func RetryableStatus(code int) bool {
+	switch code {
+	case http.StatusTooManyRequests, http.StatusInternalServerError,
+		http.StatusBadGateway, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+		return true
+	}
+	return false
+}
 
 // sysIndex indexes the catalog by exact system name, short-circuiting
 // the linear scan for the common named-system request. It is built once

@@ -39,11 +39,14 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"log/slog"
 	"net"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,6 +54,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/parpool"
+	"repro/internal/report"
 	"repro/internal/singleflight"
 	"repro/internal/slo"
 	"repro/internal/threshold"
@@ -102,7 +106,8 @@ type Config struct {
 	// delayed, or served with poisoned caches (degraded mode). The
 	// observability endpoints and /v1/healthz are never injected, so
 	// scrapes and health probes neither consume schedule slots nor lose
-	// reachability. Nil disables injection entirely.
+	// reachability, and New refuses a profile overriding them or any
+	// route it does not serve. Nil disables injection entirely.
 	Fault *fault.Plan
 
 	// Sleep performs injected latency pauses. Nil means time.Sleep; the
@@ -130,7 +135,9 @@ type Config struct {
 	// exposed as slo_* gauges in /metrics, and published to the watch
 	// stream on state transitions. Exemplar collection on the per-route
 	// latency histograms is armed with it. An inactive profile leaves
-	// the exposition byte-identical to a pre-SLO daemon's.
+	// the exposition byte-identical to a pre-SLO daemon's. New refuses
+	// an override of an observability endpoint or of a route it does not
+	// serve.
 	SLO slo.Profile
 
 	// FlightCapacity sizes the flight recorder's ring: one record per
@@ -268,6 +275,14 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.SLO.Validate(); err != nil {
 		return nil, err
 	}
+	if err := checkOverrides("SLO", cfg.SLO.Routes, func(r string) bool { return !selfObserved(r) }); err != nil {
+		return nil, err
+	}
+	if cfg.Fault != nil {
+		if err := checkOverrides("fault", cfg.Fault.Profile().Routes, faultInjectable); err != nil {
+			return nil, err
+		}
+	}
 	if cfg.FlightCapacity >= 0 {
 		s.flightrec = obs.NewRecorder(cfg.FlightCapacity)
 	}
@@ -288,6 +303,30 @@ func New(cfg Config) (*Server, error) {
 	s.start = clock()
 	s.handler = s.middleware(s.routes())
 	return s, nil
+}
+
+// checkOverrides refuses a profile override naming a route the policy
+// never applies to, which would otherwise be accepted and govern
+// nothing: a misspelled route, or one the policy exempts. The policy
+// applies to the served routes that applies accepts; the error lists
+// them.
+func checkOverrides[R any](policy string, overrides map[string]R, applies func(string) bool) error {
+	var accepted, bad []string
+	for _, r := range obsRoutes {
+		if r != "other" && applies(r) {
+			accepted = append(accepted, r)
+		}
+	}
+	for _, route := range report.SortedKeys(overrides) {
+		if !slices.Contains(accepted, route) {
+			bad = append(bad, route)
+		}
+	}
+	if len(bad) == 0 {
+		return nil
+	}
+	return fmt.Errorf("serve: %s profile overrides %s, which it never applies to; it applies to %s",
+		policy, strings.Join(bad, ", "), strings.Join(accepted, ", "))
 }
 
 // Handler returns the service's http.Handler: the routed endpoints behind
@@ -312,39 +351,13 @@ func (s *Server) routes() http.Handler {
 }
 
 // Serve accepts connections on ln until ctx is cancelled, then shuts down
-// gracefully: the listener closes and every /v1/watch stream ends
-// immediately, in-flight requests get up to DrainTimeout to complete, and
+// gracefully: every /v1/watch stream ends immediately, the listener
+// closes, in-flight requests get up to DrainTimeout to complete, and
 // stragglers are cut off. It returns nil on a clean drain.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	hs := &http.Server{
-		Handler:           s.handler,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	// Close the watch hub before draining: every /v1/watch stream
-	// observes its channel close and returns, so long-lived watchers
-	// never hold the drain open.
-	s.hub.close()
-	dctx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
-	defer cancel()
-	if err := hs.Shutdown(dctx); err != nil {
-		closeErr := hs.Close()
-		<-errc
-		if closeErr != nil {
-			return closeErr
-		}
-		return err
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
+	// Closing the watch hub before the drain ends every /v1/watch stream,
+	// so long-lived watchers never hold the drain open.
+	return ServeHandler(ctx, ln, s.handler, s.cfg.DrainTimeout, s.hub.close)
 }
 
 // canonicalFloat renders a float the one way cache keys use.

@@ -22,22 +22,11 @@ import (
 // counters, plus the read-at-scrape slo_* gauges. Called from New after
 // newServerMetrics, only when the profile is active.
 func (s *Server) initSLO() {
-	s.slo = slo.New(0, s.onSLOTransition)
+	s.slo = slo.New(s.onSLOTransition)
 	for _, route := range obsRoutes {
-		if selfObserved(route) {
-			continue
+		if ri, ok := s.met.routes[route]; ok {
+			s.slo.Add(route, s.cfg.SLO.For(route), routeTotals(ri))
 		}
-		obj := s.cfg.SLO.For(route)
-		ri, ok := s.met.routes[route]
-		if !ok {
-			continue
-		}
-		s.slo.Add(route, slo.Objective{
-			Availability: obj.Availability,
-			Latency:      obj.Latency,
-			PageBurn:     obj.PageBurn,
-			TicketBurn:   obj.TicketBurn,
-		}, routeTotals(ri))
 	}
 	s.registerSLOMetrics()
 }

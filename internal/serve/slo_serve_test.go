@@ -362,3 +362,46 @@ func TestFlightRecCapturesWALRegimeTransition(t *testing.T) {
 		}
 	}
 }
+
+// TestProfileOverrideRoutesChecked: New refuses a fault or SLO override
+// that names a route the policy never applies to, which would otherwise
+// be accepted and govern nothing, and its error names the route and
+// lists the routes the policy accepts. Overrides of every accepted route
+// build.
+func TestProfileOverrideRoutesChecked(t *testing.T) {
+	const (
+		injectable = "/v1/apps, /v1/catalog, /v1/license, /v1/threshold"
+		judged     = "/v1/apps, /v1/catalog, /v1/healthz, /v1/license, /v1/threshold"
+	)
+	build := func(faultSpec, sloSpec string) error {
+		t.Helper()
+		cfg := Config{Clock: testClock}
+		fp, err := fault.Parse(faultSpec)
+		if err != nil {
+			t.Fatalf("fault.Parse(%q): %v", faultSpec, err)
+		}
+		if cfg.Fault, err = fault.NewPlan(1, fp); err != nil {
+			t.Fatalf("fault.NewPlan: %v", err)
+		}
+		if cfg.SLO, err = slo.Parse(sloSpec); err != nil {
+			t.Fatalf("slo.Parse(%q): %v", sloSpec, err)
+		}
+		_, err = New(cfg)
+		return err
+	}
+	for _, tc := range []struct{ fault, slo, route, accepted string }{
+		{fault: "/v1/licence:error=1", route: "/v1/licence", accepted: injectable},
+		{fault: "error=0.5;/v1/healthz:error=0", route: "/v1/healthz", accepted: injectable},
+		{slo: "availability=0.99;/metrics:availability=0.999", route: "/metrics", accepted: judged},
+	} {
+		err := build(tc.fault, tc.slo)
+		if err == nil || !strings.Contains(err.Error(), tc.route) || !strings.Contains(err.Error(), tc.accepted) {
+			t.Errorf("fault %q, slo %q: New error %v, want one naming %s and listing %s",
+				tc.fault, tc.slo, err, tc.route, tc.accepted)
+		}
+	}
+	if err := build("error=0.1;/v1/apps:off;/v1/catalog:off;/v1/license:off;/v1/threshold:off",
+		"availability=0.99;/v1/apps:off;/v1/catalog:off;/v1/healthz:off;/v1/license:off;/v1/threshold:off"); err != nil {
+		t.Errorf("overrides of every accepted route refused: %v", err)
+	}
+}

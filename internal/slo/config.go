@@ -8,10 +8,11 @@ package slo
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/routespec"
 )
 
 // Default burn-rate thresholds, per the multi-window multi-burn-rate
@@ -36,8 +37,8 @@ type Objective struct {
 	TicketBurn   float64       // burn rate that tickets; 0 selects DefaultTicketBurn
 }
 
-// active reports whether the objective judges anything.
-func (o Objective) active() bool { return o.Availability > 0 }
+// Active reports whether the objective judges anything.
+func (o Objective) Active() bool { return o.Availability > 0 }
 
 // pageBurn returns the paging threshold with the default applied.
 func (o Objective) pageBurn() float64 {
@@ -55,8 +56,8 @@ func (o Objective) ticketBurn() float64 {
 	return DefaultTicketBurn
 }
 
-// validate rejects objectives the burn-rate formula cannot price.
-func (o Objective) validate() error {
+// Validate rejects objectives the burn-rate formula cannot price.
+func (o Objective) Validate() error {
 	if o.Availability != 0 && (o.Availability < 0 || o.Availability >= 1) {
 		return fmt.Errorf("slo: availability %g outside (0, 1)", o.Availability)
 	}
@@ -72,8 +73,8 @@ func (o Objective) validate() error {
 	return nil
 }
 
-// spec renders the objective as its canonical clause text.
-func (o Objective) spec() string {
+// Spec renders the objective as its canonical clause text.
+func (o Objective) Spec() string {
 	parts := []string{"availability=" + strconv.FormatFloat(o.Availability, 'g', -1, 64)}
 	if o.Latency > 0 {
 		parts = append(parts, "latency="+o.Latency.String())
@@ -88,85 +89,15 @@ func (o Objective) spec() string {
 }
 
 // Profile is the SLO configuration for a whole service: a default
-// objective applied to every judged route, plus per-route overrides. An
-// override with a zero objective exempts that route.
-type Profile struct {
-	Default Objective
-	Routes  map[string]Objective // per-route overrides; may be nil
-}
+// objective applied to every judged route, plus per-route overrides, in
+// the grammar internal/routespec defines. An override with a zero
+// objective, such as "ROUTE:off", exempts that route.
+type Profile = routespec.Profile[Objective]
 
-// For returns the objective governing one route.
-func (p Profile) For(route string) Objective {
-	if o, ok := p.Routes[route]; ok {
-		return o
-	}
-	return p.Default
-}
-
-// Active reports whether the profile judges anything at all.
-func (p Profile) Active() bool {
-	if p.Default.active() {
-		return true
-	}
-	for _, o := range p.Routes {
-		if o.active() {
-			return true
-		}
-	}
-	return false
-}
-
-// Validate checks every objective in the profile.
-func (p Profile) Validate() error {
-	if err := p.Default.validate(); err != nil {
-		return err
-	}
-	for _, route := range sortedRoutes(p.Routes) {
-		if err := p.Routes[route].validate(); err != nil {
-			return fmt.Errorf("%w (route %s)", err, route)
-		}
-	}
-	return nil
-}
-
-// String renders the profile as a canonical Parse-able spec: the default
-// clause first, then route overrides sorted by route. An inactive
-// profile renders as "none".
-func (p Profile) String() string {
-	var clauses []string
-	if p.Default.active() {
-		clauses = append(clauses, p.Default.spec())
-	}
-	for _, route := range sortedRoutes(p.Routes) {
-		if o := p.Routes[route]; o.active() {
-			clauses = append(clauses, route+":"+o.spec())
-		} else {
-			clauses = append(clauses, route+":off")
-		}
-	}
-	if len(clauses) == 0 {
-		return "none"
-	}
-	return strings.Join(clauses, ";")
-}
-
-// sortedRoutes returns the override routes in the one canonical order.
-func sortedRoutes(m map[string]Objective) []string {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(m))
-	for r := range m {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Parse builds a Profile from a spec string, mirroring the fault-profile
-// grammar: clauses joined by ';', each a comma-separated list of k=v
-// pairs, optionally prefixed "ROUTE:" (the route starting with '/') to
-// override one route instead of setting the default. Keys:
+// Parse builds a Profile from a spec string in the routespec grammar, the
+// fault profile's: clauses joined by ';', each a comma-separated list of
+// k=v pairs, optionally prefixed "ROUTE:" (the route starting with '/')
+// to override one route instead of setting the default. Keys:
 //
 //	availability=F   target good fraction, as a fraction ("0.99") or
 //	                 percentage ("99.9%")
@@ -174,54 +105,13 @@ func sortedRoutes(m map[string]Objective) []string {
 //	page=F           paging burn rate (default 14.4)
 //	ticket=F         ticketing burn rate (default 6)
 //
-// The special clause body "off" exempts a route. "" and "none" yield an
-// inactive profile. Examples:
+// Every clause but "ROUTE:off", which exempts a route, sets an
+// availability target. "" and "none" yield an inactive profile. Examples:
 //
 //	availability=0.99,latency=100ms
 //	availability=99.9%;/v1/healthz:off;/v1/license:availability=0.999
 func Parse(spec string) (Profile, error) {
-	switch strings.TrimSpace(spec) {
-	case "", "none":
-		return Profile{}, nil
-	}
-	var p Profile
-	for _, clause := range strings.Split(spec, ";") {
-		clause = strings.TrimSpace(clause)
-		if clause == "" {
-			continue
-		}
-		route := ""
-		body := clause
-		if strings.HasPrefix(clause, "/") {
-			i := strings.Index(clause, ":")
-			if i < 0 {
-				return Profile{}, fmt.Errorf("slo: route clause %q missing ':'", clause)
-			}
-			route, body = clause[:i], clause[i+1:]
-		}
-		var o Objective
-		if strings.TrimSpace(body) != "off" {
-			var err error
-			o, err = parseClause(body)
-			if err != nil {
-				return Profile{}, err
-			}
-		} else if route == "" {
-			return Profile{}, fmt.Errorf("slo: \"off\" needs a route prefix")
-		}
-		if route == "" {
-			p.Default = o
-		} else {
-			if p.Routes == nil {
-				p.Routes = make(map[string]Objective)
-			}
-			p.Routes[route] = o
-		}
-	}
-	if err := p.Validate(); err != nil {
-		return Profile{}, err
-	}
-	return p, nil
+	return routespec.Parse("slo", spec, parseClause)
 }
 
 // parseClause parses one clause's k=v pairs into an Objective.
@@ -263,7 +153,7 @@ func parseClause(body string) (Objective, error) {
 			return Objective{}, fmt.Errorf("slo: unknown key %q", k)
 		}
 	}
-	if !o.active() {
+	if !o.Active() {
 		return Objective{}, fmt.Errorf("slo: clause %q sets no availability target", body)
 	}
 	return o, nil

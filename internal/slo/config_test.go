@@ -30,14 +30,15 @@ func TestParseBasics(t *testing.T) {
 }
 
 func TestParsePercentAndOverrides(t *testing.T) {
-	p, err := Parse("availability=99.9%;/v1/healthz:off;/v1/license:availability=0.999,latency=50ms,page=10,ticket=3")
+	// The padded clause governs /v1/license: the route is trimmed.
+	p, err := Parse("availability=99.9%;/v1/healthz:off; /v1/license : availability=0.999,latency=50ms,page=10,ticket=3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := p.Default.Availability; got < 0.9989 || got > 0.9991 {
 		t.Errorf("percent availability = %g, want 0.999", got)
 	}
-	if o := p.For("/v1/healthz"); o.active() {
+	if o := p.For("/v1/healthz"); o.Active() {
 		t.Errorf("/v1/healthz should be exempt, got %+v", o)
 	}
 	lic := p.For("/v1/license")
@@ -59,11 +60,13 @@ func TestParseRejects(t *testing.T) {
 		"availability=0.99,nope=1",
 		"availability=abc",
 		"availability=0.99,latency=fast",
-		"availability=0.99,page=2,ticket=5", // page below ticket
-		"availability=0.99,page=NaN",        // NaN burn
-		"/v1/license availability=0.99",     // route clause missing ':'
-		"off",                               // off without a route
-		"availability",                      // malformed pair
+		"availability=0.99,page=2,ticket=5",             // page below ticket
+		"availability=0.99,page=NaN",                    // NaN burn
+		"/v1/license availability=0.99",                 // route clause missing ':'
+		"off",                                           // off without a route
+		"availability",                                  // malformed pair
+		"/v1/license:availability=0.9;/v1/license :off", // route given twice
+		"availability=0.99;availability=0.9",            // two default clauses
 	}
 	for _, spec := range bad {
 		if _, err := Parse(spec); err == nil {
@@ -130,7 +133,12 @@ func FuzzSLOProfileRoundTrip(f *testing.F) {
 			}
 			unnamed += "/x"
 		}
-		routes := append(append(sortedRoutes(p.Routes), sortedRoutes(again.Routes)...), unnamed)
+		routes := []string{unnamed}
+		for _, prof := range []Profile{p, again} {
+			for route := range prof.Routes {
+				routes = append(routes, route)
+			}
+		}
 		for _, route := range routes {
 			if a, b := p.For(route), again.For(route); a != b {
 				t.Fatalf("%q vs its String %q: route %q has %+v vs %+v", spec, text, route, a, b)
@@ -148,7 +156,7 @@ func TestObjectiveDefaults(t *testing.T) {
 	if o.pageBurn() != 20 || o.ticketBurn() != 8 {
 		t.Errorf("explicit thresholds = %g/%g", o.pageBurn(), o.ticketBurn())
 	}
-	if !strings.Contains(o.spec(), "page=20") || !strings.Contains(o.spec(), "ticket=8") {
-		t.Errorf("spec = %q", o.spec())
+	if !strings.Contains(o.Spec(), "page=20") || !strings.Contains(o.Spec(), "ticket=8") {
+		t.Errorf("spec = %q", o.Spec())
 	}
 }

@@ -105,17 +105,18 @@ type routeState struct {
 	state   map[string]string // signal -> last state
 }
 
+// sampleEvery is the minimum spacing between retained history samples.
+// Evaluations closer together than this reuse the last sample rather
+// than growing history, so a route's ring holds the 6h window in
+// 6h/15s + 2 samples however often it is scraped.
+const sampleEvery = 15 * time.Second
+
 // Engine evaluates burn rates for a set of routes. It is passive: no
 // goroutines, no internal clock — every evaluation happens at the
 // caller-supplied instant (typically read-at-scrape), and between
 // evaluations it remembers just enough Totals history to price the
 // longest window. Safe for concurrent use.
 type Engine struct {
-	// SampleEvery is the minimum spacing between retained history
-	// samples; defaults to 15s. Evaluations closer together than this
-	// reuse the last sample rather than growing history.
-	sampleEvery time.Duration
-
 	// onTransition, when set, is called after an evaluation for each
 	// state change, outside the engine lock, in route-then-signal order.
 	onTransition func(Transition)
@@ -125,13 +126,9 @@ type Engine struct {
 	last   Evaluation    // most recent evaluation, for gauge reads
 }
 
-// New returns an engine with the given history sampling interval
-// (<= 0 selects 15s) and optional transition callback.
-func New(sampleEvery time.Duration, onTransition func(Transition)) *Engine {
-	if sampleEvery <= 0 {
-		sampleEvery = 15 * time.Second
-	}
-	return &Engine{sampleEvery: sampleEvery, onTransition: onTransition}
+// New returns an engine with an optional transition callback.
+func New(onTransition func(Transition)) *Engine {
+	return &Engine{onTransition: onTransition}
 }
 
 // Add registers a route with its objective and counter source. Routes
@@ -139,10 +136,10 @@ func New(sampleEvery time.Duration, onTransition func(Transition)) *Engine {
 // source is ignored. Add keeps routes sorted by name so evaluation
 // order never depends on registration order.
 func (e *Engine) Add(route string, obj Objective, src Source) {
-	if e == nil || !obj.active() || src == nil {
+	if e == nil || !obj.Active() || src == nil {
 		return
 	}
-	cap6h := int(Windows[len(Windows)-1].D/e.sampleEvery) + 2
+	cap6h := int(Windows[len(Windows)-1].D/sampleEvery) + 2
 	rs := &routeState{
 		route:   route,
 		obj:     obj,
@@ -166,14 +163,14 @@ func (e *Engine) Add(route string, obj Objective, src Source) {
 
 // record retains a history point if the spacing rule allows; a repeat
 // evaluation at the same instant replaces the newest point.
-func (rs *routeState) record(now time.Time, v Totals, every time.Duration) {
+func (rs *routeState) record(now time.Time, v Totals) {
 	if rs.n > 0 {
 		newest := &rs.samples[(rs.head+rs.n-1)%len(rs.samples)]
 		if now.Equal(newest.t) {
 			newest.v = v
 			return
 		}
-		if now.Before(newest.t.Add(every)) {
+		if now.Before(newest.t.Add(sampleEvery)) {
 			return
 		}
 	}
@@ -234,8 +231,8 @@ func (e *Engine) Eval(now time.Time) Evaluation {
 	var trans []Transition
 	for _, rs := range e.routes {
 		cur := rs.src()
-		rs.record(now, cur, e.sampleEvery)
-		re := RouteEval{Route: rs.route, Objective: rs.obj.spec()}
+		rs.record(now, cur)
+		re := RouteEval{Route: rs.route, Objective: rs.obj.Spec()}
 		signals := []struct {
 			name string
 			bad  func(Totals) uint64
@@ -286,13 +283,6 @@ func classify(ws []WindowBurn, obj Objective) string {
 		return StateWarn
 	}
 	return StateOK
-}
-
-// Last returns the cached most recent evaluation (zero before any Eval).
-func (e *Engine) Last() Evaluation {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.last
 }
 
 // LastBurn returns the cached burn rate for (route, signal, window), 0
@@ -360,7 +350,7 @@ func (e *Engine) Routes() []RouteEval {
 	defer e.mu.Unlock()
 	out := make([]RouteEval, 0, len(e.routes))
 	for _, rs := range e.routes {
-		re := RouteEval{Route: rs.route, Objective: rs.obj.spec()}
+		re := RouteEval{Route: rs.route, Objective: rs.obj.Spec()}
 		re.Signals = append(re.Signals, SignalEval{Signal: SignalAvailability})
 		if rs.obj.Latency > 0 {
 			re.Signals = append(re.Signals, SignalEval{Signal: SignalLatency})
@@ -368,22 +358,6 @@ func (e *Engine) Routes() []RouteEval {
 		out = append(out, re)
 	}
 	return out
-}
-
-// ObjectiveFor returns the objective the engine holds for a route and
-// whether the route is judged.
-func (e *Engine) ObjectiveFor(route string) (Objective, bool) {
-	if e == nil {
-		return Objective{}, false
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, rs := range e.routes {
-		if rs.route == route {
-			return rs.obj, true
-		}
-	}
-	return Objective{}, false
 }
 
 // String renders a transition the one canonical way, for event streams

@@ -35,7 +35,7 @@ var t0 = time.Unix(800000000, 0) // same epoch the serve tests pin
 func TestEngineColdBurnAndPage(t *testing.T) {
 	src := &fakeSource{}
 	var trans []Transition
-	e := New(0, func(tr Transition) { trans = append(trans, tr) })
+	e := New(func(tr Transition) { trans = append(trans, tr) })
 	e.Add("/v1/license", Objective{Availability: 0.99}, src.read)
 
 	// All good: every window burns 0, state ok, no transitions.
@@ -78,16 +78,17 @@ func TestEngineDeterministicRunToRun(t *testing.T) {
 	// verdicts, byte-for-byte, run to run.
 	run := func() []byte {
 		src := &fakeSource{}
-		e := New(0, nil)
+		e := New(nil)
 		e.Add("/v1/license", Objective{Availability: 0.99, Latency: 100 * time.Millisecond}, src.read)
 		e.Add("/v1/catalog", Objective{Availability: 0.999}, src.read)
 		now := t0
+		var ev Evaluation
 		for i := 0; i < 10; i++ {
 			src.add(50, uint64(i%3), uint64(i%2))
 			now = now.Add(20 * time.Second)
-			e.Eval(now)
+			ev = e.Eval(now)
 		}
-		b, err := json.Marshal(e.Last())
+		b, err := json.Marshal(ev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +104,7 @@ func TestEngineWindowBaselines(t *testing.T) {
 	// History long enough that the windows diverge: errors only in the
 	// recent past burn the short window but dilute across the long one.
 	src := &fakeSource{}
-	e := New(15*time.Second, nil)
+	e := New(nil)
 	e.Add("/v1/license", Objective{Availability: 0.99}, src.read)
 
 	now := t0
@@ -144,7 +145,7 @@ func TestEngineWindowBaselines(t *testing.T) {
 
 func TestEngineLatencySignal(t *testing.T) {
 	src := &fakeSource{}
-	e := New(0, nil)
+	e := New(nil)
 	e.Add("/v1/license", Objective{Availability: 0.99, Latency: 100 * time.Millisecond}, src.read)
 	src.add(100, 0, 50) // half the requests over the latency objective
 	ev := e.Eval(t0)
@@ -166,7 +167,7 @@ func TestEngineRecovery(t *testing.T) {
 	// and then the long windows too (warn back to ok).
 	src := &fakeSource{}
 	var trans []Transition
-	e := New(15*time.Second, func(tr Transition) { trans = append(trans, tr) })
+	e := New(func(tr Transition) { trans = append(trans, tr) })
 	e.Add("/v1/license", Objective{Availability: 0.99}, src.read)
 
 	now := t0
@@ -193,7 +194,7 @@ func TestEngineRecovery(t *testing.T) {
 
 func TestEngineGaugeAccessors(t *testing.T) {
 	src := &fakeSource{}
-	e := New(0, nil)
+	e := New(nil)
 	e.Add("/v1/license", Objective{Availability: 0.99}, src.read)
 	if got := e.LastBurn("/v1/license", SignalAvailability, "5m"); got != 0 {
 		t.Errorf("pre-Eval LastBurn = %g, want 0", got)
@@ -220,49 +221,51 @@ func TestEngineGaugeAccessors(t *testing.T) {
 }
 
 func TestEngineRoutesSortedAndObjectiveFor(t *testing.T) {
-	e := New(0, nil)
+	e := New(nil)
 	src := &fakeSource{}
 	e.Add("/v1/threshold", Objective{Availability: 0.9}, src.read)
 	e.Add("/v1/license", Objective{Availability: 0.99, Latency: time.Millisecond}, src.read)
 	e.Add("/v1/catalog", Objective{Availability: 0.95}, src.read)
-	var names []string
+	e.Add("/v1/apps", Objective{}, src.read) // inactive: not judged
+	var got []string
 	for _, r := range e.Routes() {
-		names = append(names, r.Route)
+		got = append(got, r.Route+" "+r.Objective)
 	}
-	if want := []string{"/v1/catalog", "/v1/license", "/v1/threshold"}; !reflect.DeepEqual(names, want) {
-		t.Errorf("Routes() order = %v, want %v", names, want)
+	want := []string{
+		"/v1/catalog availability=0.95",
+		"/v1/license availability=0.99,latency=1ms",
+		"/v1/threshold availability=0.9",
 	}
-	if o, ok := e.ObjectiveFor("/v1/license"); !ok || o.Latency != time.Millisecond {
-		t.Errorf("ObjectiveFor(/v1/license) = %+v, %v", o, ok)
-	}
-	if _, ok := e.ObjectiveFor("/v1/nope"); ok {
-		t.Error("ObjectiveFor on an unjudged route reported ok")
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Routes() = %q, want %q", got, want)
 	}
 }
 
 func TestEngineHistoryRingBounded(t *testing.T) {
-	// Far more evaluations than the ring holds: the engine must keep
+	// Far more evaluations than the ring holds: one every 15s for a full
+	// day fills the 6h/15s + 2 ring four times over. The engine must keep
 	// working and the 6h baseline must track the moving window.
 	src := &fakeSource{}
-	e := New(time.Minute, nil) // small interval → ring of 6*60+2
+	e := New(nil)
 	e.Add("/v1/license", Objective{Availability: 0.99}, src.read)
 	now := t0
-	for i := 0; i < 24*60; i++ { // a full day at one sample/minute
+	for i := 0; i < 24*60*4; i++ {
 		src.add(10, 0, 0)
 		e.Eval(now)
-		now = now.Add(time.Minute)
+		now = now.Add(sampleEvery)
 	}
 	ev := e.Eval(now)
 	ws := ev.Routes[0].Signals[0].Windows
-	// The 6h window sees ~6h of traffic, not the whole day.
-	if ws[2].Total > 10*6*60+20 || ws[2].Total < 10*5*60 {
-		t.Errorf("6h window total = %d, want about %d", ws[2].Total, 10*6*60)
+	// The 6h window sees 6h of traffic, not the whole day: the adds after
+	// the sample taken exactly 6h ago.
+	if want := uint64(10 * (6*60*4 - 1)); ws[2].Total != want {
+		t.Errorf("6h window total = %d, want %d", ws[2].Total, want)
 	}
 }
 
 func TestEngineConcurrentEvalAndReads(t *testing.T) {
 	var n atomic.Uint64
-	e := New(0, func(Transition) {})
+	e := New(func(Transition) {})
 	e.Add("/v1/license", Objective{Availability: 0.99}, func() Totals {
 		v := n.Add(7)
 		return Totals{Total: v, Errors: v / 10}
@@ -278,7 +281,7 @@ func TestEngineConcurrentEvalAndReads(t *testing.T) {
 				now = now.Add(time.Second)
 				_ = e.LastBurn("/v1/license", SignalAvailability, "5m")
 				_ = e.LastBudget("/v1/license", SignalAvailability)
-				_ = e.Last()
+				_ = e.LastState("/v1/license", SignalAvailability)
 			}
 		}(g)
 	}
@@ -293,8 +296,5 @@ func TestEngineNilSafe(t *testing.T) {
 	}
 	if r := e.Routes(); r != nil {
 		t.Errorf("nil engine Routes = %+v", r)
-	}
-	if _, ok := e.ObjectiveFor("/x"); ok {
-		t.Error("nil engine ObjectiveFor reported ok")
 	}
 }
