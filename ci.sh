@@ -397,6 +397,24 @@ if ! grep -q '^gateway_hedge_mismatch_total 0$' "$scrapedir/gw_metrics"; then
 	grep '^gateway_hedge' "$scrapedir/gw_metrics" >&2 || true
 	exit 1
 fi
+# Reading the gateway's own request records never records: two reads
+# each of its /v1/traces and /v1/flightrec are byte-identical and hold the
+# keyed traffic's /v1/license records. The reads interleave, so a read of
+# either that recorded itself would show in the other's second read. The
+# idle gateway's ring is stable because the prober's health probes never
+# pass through its middleware.
+for i in 1 2; do
+	for ep in traces flightrec; do
+		curl -fsS "http://localhost:18100/v1/$ep" > "$scrapedir/gw_$ep$i"
+	done
+done
+for ep in traces flightrec; do
+	cmp "$scrapedir/gw_${ep}1" "$scrapedir/gw_${ep}2"
+	if ! grep -q '/v1/license' "$scrapedir/gw_${ep}1"; then
+		echo "ci.sh: the gateway's /v1/$ep holds no /v1/license records" >&2
+		exit 1
+	fi
+done
 kill "$gwpid" "$b1pid" "$b2pid" "$b3pid" 2> /dev/null || true
 gwpid=""
 b1pid=""

@@ -34,6 +34,7 @@
 // same -fault-seed replays the identical fault sequence; injected errors
 // answer 503 with X-Fault-Injected, poisoned arrivals recompute without
 // caches and mark X-Degraded, and /v1/healthz reports the fault totals.
+// A profile that injects nothing, such as none, mounts nothing.
 //
 // -data-dir mounts the durable decision log (see README "Durability and
 // warm-start"): every decision that fills the decision cache is

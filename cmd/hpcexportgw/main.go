@@ -29,8 +29,14 @@
 //	GET  /v1/healthz      aggregated cluster health
 //	GET  /metrics         the gateway's Prometheus exposition
 //	GET  /v1/metrics      the same registry as JSON
-//	GET  /v1/flightrec    hedge-mismatch flight recorder
+//	GET  /v1/traces       span trees of the gateway's request records
+//	GET  /v1/flightrec    the gateway's record of every routed request;
+//	                      hedge mismatches pin
 //	everything else       proxied to the URI-hash owner backend
+//
+// Reading the four telemetry routes counts and records nothing. /v1/slo
+// is proxied to a backend the same way, uncounted and unrecorded; every
+// other proxied route is recorded, an unknown path under "other".
 package main
 
 import (
@@ -59,7 +65,7 @@ func main() {
 		probeTO    = flag.Duration("probe-timeout", gateway.DefaultProbeTimeout, "single health-probe deadline")
 		rejoin     = flag.Int("rejoin-after", gateway.DefaultRejoinAfter, "consecutive healthy probes before a drained backend rejoins")
 		attempts   = flag.Int("attempts", gateway.DefaultAttempts, "forwarding attempts per request")
-		maxBatch   = flag.Int("batch", gateway.DefaultMaxBatch, "largest batch scatter-gathered (larger forwards whole)")
+		maxBatch   = flag.Int("batch", gateway.DefaultMaxBatch, "largest batch scatter-gathered (larger forwards whole); keep it at the backends' -batch, or a batch they would refuse is split and answered")
 		noHedge    = flag.Bool("no-hedge", false, "disable hedged reads")
 		hedgeCold  = flag.Duration("hedge-cold", gateway.DefaultHedgeCold, "hedge delay before latency history accumulates")
 		drain      = flag.Duration("drain", gateway.DefaultDrainTimeout, "shutdown drain window")

@@ -797,8 +797,8 @@ func (f *taintFacts) sinkOf(fn *types.Func) (desc string, takes func(int) bool, 
 			return "the report emitter (*report.Table).AddRow", all, true
 		}
 	case mod + "/internal/serve":
-		if fn.Name() == "writeJSON" {
-			return "a /v1 response body (writeJSON)", func(i int) bool { return i == 2 }, true
+		if fn.Name() == "WriteJSON" {
+			return "a /v1 response body (WriteJSON)", func(i int) bool { return i == 2 }, true
 		}
 		if sig, isSig := fn.Type().(*types.Signature); isSig && sig.Recv() != nil {
 			if recvTypeName(sig.Recv().Type()) == "LRU" && (fn.Name() == "Get" || fn.Name() == "Put") {

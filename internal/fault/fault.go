@@ -70,7 +70,7 @@ func (k Kind) String() string {
 type Decision struct {
 	Kind  Kind
 	Delay time.Duration // the injected pause, for Kind == Latency
-	Slot  uint64        // the schedule slot this arrival consumed
+	Slot  uint64        // the schedule slot this arrival consumed (0 on a route with no schedule)
 }
 
 // RouteProfile is one route's fault mix: independent probability bands for
@@ -224,7 +224,12 @@ func NewPlan(seed uint64, profile Profile) (*Plan, error) {
 func (p *Plan) Profile() Profile { return p.profile }
 
 // Next consumes the route's next schedule slot and returns its decision.
+// A route whose rule injects nothing has no schedule: its arrivals take
+// neither the lock nor a slot, and get a None decision.
 func (p *Plan) Next(route string) Decision {
+	if !p.profile.For(route).Active() {
+		return Decision{Kind: None}
+	}
 	p.mu.Lock()
 	slot := p.slots[route]
 	p.slots[route] = slot + 1

@@ -34,6 +34,25 @@ func TestSameSeedSameSchedule(t *testing.T) {
 			}
 		}
 	}
+
+	// A route exempted with ROUTE:off has no schedule: its arrivals take
+	// no slot, and the active route's decisions are still At's, slot by
+	// slot.
+	p := mustPlan(t, 42, "error=0.5;/v1/threshold:off")
+	for i := 0; i < 100; i++ {
+		if d := p.Next("/v1/threshold"); d.Kind != None {
+			t.Fatalf("exempt route arrival %d: %v", i, d)
+		}
+		if d, at := p.Next("/v1/license"), p.At("/v1/license", uint64(i)); d != at {
+			t.Fatalf("/v1/license slot %d: Next %v but At %v", i, d, at)
+		}
+	}
+	if got := p.Taken("/v1/threshold"); got != 0 {
+		t.Errorf("exempt route took %d slots, want 0", got)
+	}
+	if got := p.Taken("/v1/license"); got != 100 {
+		t.Errorf("/v1/license took %d slots, want 100", got)
+	}
 }
 
 func TestDifferentSeedsDiverge(t *testing.T) {

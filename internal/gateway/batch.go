@@ -72,7 +72,7 @@ func (g *Gateway) scatterGather(w http.ResponseWriter, r *http.Request, reqs []s
 	if len(order) == 1 {
 		res, err := g.forwardKeyed(r.Context(), order[0].key, http.MethodPost, "/v1/license", rawBody, id, "")
 		if err != nil {
-			writeError(w, http.StatusBadGateway, "gateway: %v", err)
+			serve.WriteError(w, http.StatusBadGateway, "gateway: %v", err)
 			return
 		}
 		writeProxyResult(w, res)
@@ -93,7 +93,7 @@ func (g *Gateway) scatterGather(w http.ResponseWriter, r *http.Request, reqs []s
 
 	for _, sh := range order {
 		if sh.err != nil {
-			writeError(w, http.StatusBadGateway, "gateway: batch shard failed: %v", sh.err)
+			serve.WriteError(w, http.StatusBadGateway, "gateway: batch shard failed: %v", sh.err)
 			return
 		}
 		if sh.res.status != http.StatusOK {
@@ -120,7 +120,7 @@ func (g *Gateway) scatterGather(w http.ResponseWriter, r *http.Request, reqs []s
 		body = append(body, it...)
 	}
 	body = append(body, ']', '}', '\n')
-	writeRawJSON(w, http.StatusOK, body)
+	serve.WriteRawJSON(w, http.StatusOK, body)
 }
 
 // fetchShard forwards one shard's sub-batch to its owner and splits a

@@ -3,6 +3,8 @@ package gateway
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 
@@ -139,6 +141,47 @@ func TestEncodeBatchRoundTrips(t *testing.T) {
 	}
 	if !reflect.DeepEqual(batch, reqs) {
 		t.Fatalf("round trip changed the batch:\n got %+v\nwant %+v", batch, reqs)
+	}
+}
+
+// TestGatewayBatchLimitMatchesSingleNode: through a default cluster, a
+// batch one over DefaultMaxBatch gets the single node's 413 byte for
+// byte, and a batch of exactly DefaultMaxBatch is split across the
+// backends and reassembled into the single node's answer.
+func TestGatewayBatchLimitMatchesSingleNode(t *testing.T) {
+	tc := newTestCluster(t, 3, Config{NoHedge: true}, nil)
+	single, err := serve.New(serve.Config{Clock: gwTestClock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tt := range []struct {
+		n, code int
+		split   bool
+	}{
+		{DefaultMaxBatch + 1, http.StatusRequestEntityTooLarge, false},
+		{DefaultMaxBatch, http.StatusOK, true},
+	} {
+		reqs := make([]serve.LicenseRequest, tt.n)
+		for i := range reqs {
+			reqs[i] = licenseRequest(i)
+		}
+		raw, err := json.Marshal(serve.BatchRequest{Requests: reqs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := httptest.NewRecorder()
+		single.Handler().ServeHTTP(want, httptest.NewRequest(http.MethodPost, "/v1/license", bytes.NewReader(raw)))
+		if want.Code != tt.code {
+			t.Fatalf("single node, batch of %d: %d, want %d", tt.n, want.Code, tt.code)
+		}
+		fanout := tc.gw.batchFanout.Value()
+		code, _, got := tc.post("/v1/license", string(raw))
+		if code != want.Code || !bytes.Equal(got, want.Body.Bytes()) {
+			t.Errorf("batch of %d: gateway %d %q, single node %d %q", tt.n, code, got, want.Code, want.Body.Bytes())
+		}
+		if shards := tc.gw.batchFanout.Value() - fanout; tt.split != (shards >= 2) {
+			t.Errorf("batch of %d went out in %d shards", tt.n, shards)
+		}
 	}
 }
 

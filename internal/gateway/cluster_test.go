@@ -194,7 +194,7 @@ func TestGatewayHerdSingleFill(t *testing.T) {
 			return
 		}
 		deadline := time.Now().Add(10 * time.Second)
-		for tc.gw.flights.waitersFor(k) < herd-1 && time.Now().Before(deadline) {
+		for tc.gw.flights.Waiters(k) < herd-1 && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
 	}

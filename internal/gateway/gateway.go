@@ -8,9 +8,17 @@
 //	GET  /v1/healthz      aggregated cluster health (gateway + every backend)
 //	GET  /metrics         the gateway's own Prometheus exposition
 //	GET  /v1/metrics      the same registry as a JSON snapshot
-//	GET  /v1/flightrec    the gateway's flight recorder (hedge mismatches pin)
+//	GET  /v1/traces       span trees of the gateway's own request records
+//	GET  /v1/flightrec    the gateway's own request records (hedge mismatches pin)
 //	GET  /v1/watch        501: streams don't merge; connect to a backend
 //	anything else         proxied to the URI-hash owner (deterministic warming)
+//
+// The four telemetry routes are serve.MountTelemetry's over the gateway's
+// registry and recorder, and the middleware passes them through uncounted
+// and unrecorded by the backends' own list, serve.SelfObserved. That list
+// also holds /v1/slo, which is proxied to a backend without being counted
+// or recorded; every other proxied route is recorded, an unknown path
+// under "other".
 //
 // The determinism contract is what makes the interesting parts safe:
 // because every replica answers a decision key with byte-identical
@@ -24,19 +32,17 @@ package gateway
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"log/slog"
 	"net"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/serve"
+	"repro/internal/singleflight"
 )
 
 // DefaultAddr is hpcexportgw's default listen address.
@@ -51,7 +57,7 @@ const (
 	DefaultHedgeCold    = 10 * time.Millisecond
 	DefaultHedgeMin     = time.Millisecond
 	DefaultDrainTimeout = 5 * time.Second
-	DefaultMaxBatch     = 256
+	DefaultMaxBatch     = serve.DefaultMaxBatch
 )
 
 // Forwarding constants. retryBackoff is the pause before a retryable
@@ -69,10 +75,6 @@ const (
 // before its histogram quantile is trusted for the hedge delay; below
 // it the configured cold delay applies.
 const hedgeMinSamples = 32
-
-// maxBodyBytes bounds request bodies the gateway will buffer, matching
-// the backends' own limit.
-const maxBodyBytes = 1 << 20
 
 // Config configures a Gateway. The zero value of any field selects the
 // documented default. The listener is the caller's: Serve takes one.
@@ -117,7 +119,10 @@ type Config struct {
 
 	// MaxBatch bounds the batch size the gateway will scatter-gather;
 	// larger batches are forwarded whole so the owning backend renders
-	// its canonical rejection.
+	// its canonical rejection. An over-limit batch gets a single node's
+	// answer only while MaxBatch equals the backends' own limit (both
+	// default to serve.DefaultMaxBatch): a larger MaxBatch splits a batch
+	// every backend would refuse whole into shards each one accepts.
 	MaxBatch int
 
 	// DrainTimeout bounds graceful shutdown.
@@ -167,7 +172,10 @@ type Gateway struct {
 	memberMtime  time.Time
 	memberLoaded bool
 
-	flights flightGroup
+	// flights coalesces concurrent fetches of one canonical key, so a
+	// thundering herd costs one backend computation cluster-wide; waiters
+	// share the leader's *proxyResult, whose body is never mutated.
+	flights singleflight.Group[*proxyResult]
 
 	requests atomic.Uint64
 
@@ -370,32 +378,22 @@ func (g *Gateway) routes() http.Handler {
 	mux.HandleFunc("GET /v1/license", g.handleLicenseGet)
 	mux.HandleFunc("POST /v1/license", g.handleLicensePost)
 	mux.HandleFunc("GET /v1/healthz", g.handleHealthz)
-	mux.HandleFunc("GET /metrics", g.handleMetricsProm)
-	mux.HandleFunc("GET /v1/metrics", g.handleMetricsJSON)
-	mux.HandleFunc("GET /v1/flightrec", g.handleFlightRec)
 	mux.HandleFunc("GET /v1/watch", g.handleWatch)
 	mux.HandleFunc("/", g.handleProxy)
+	serve.MountTelemetry(mux, g.reg, g.flightrec, nil)
 	return mux
-}
-
-// selfObserved reports whether a route reads the gateway's own
-// instruments; such requests pass unrecorded so two scrapes of an idle
-// gateway are byte-identical.
-func selfObserved(path string) bool {
-	switch path {
-	case "/metrics", "/v1/metrics", "/v1/flightrec":
-		return true
-	}
-	return false
 }
 
 // middleware counts admitted requests, answers each under the request ID
 // the gateway owns (serve.RequestID over its admission counter, minted as
 // "gw-N"), which every backend exchange for the request forwards, and
-// records each routed request into the flight recorder.
+// records each routed request into the flight recorder. A self-observed
+// route (serve.SelfObserved) passes through untouched, so reading the
+// gateway's telemetry never changes it.
 func (g *Gateway) middleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if selfObserved(r.URL.Path) {
+		route := serve.RouteOf(r.URL.Path)
+		if serve.SelfObserved(route) {
 			next.ServeHTTP(w, r)
 			return
 		}
@@ -407,26 +405,15 @@ func (g *Gateway) middleware(next http.Handler) http.Handler {
 			return
 		}
 		begin := g.clock()
-		ctx, rec := g.flightrec.Open(r.Context(), g.clock, begin, r.Method, serve.RouteOf(r.URL.Path), id[0])
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		ctx, rec := g.flightrec.Open(r.Context(), g.clock, begin, r.Method, route, id[0])
+		sw := &serve.StatusWriter{ResponseWriter: w}
 		next.ServeHTTP(sw, r.WithContext(ctx))
 		var anomalies []string
-		if sw.code >= http.StatusInternalServerError {
+		if sw.Code >= http.StatusInternalServerError {
 			anomalies = []string{"gateway:5xx"}
 		}
-		rec.Seal(sw.code, uint64(g.clock().Sub(begin)), "", "", false, anomalies)
+		rec.Seal(sw.Code, uint64(g.clock().Sub(begin)), "", "", false, anomalies)
 	})
-}
-
-// statusWriter captures the response status for the flight recorder.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
 }
 
 // Serve accepts connections on ln until ctx is cancelled, then drains
@@ -442,34 +429,3 @@ func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false 
 func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
 func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
 func (d discardHandler) WithGroup(string) slog.Handler           { return d }
-
-// ---- response helpers ----------------------------------------------------
-
-var headerJSON = []string{"application/json"}
-
-func writeJSON(w http.ResponseWriter, code int, v interface{}) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		http.Error(w, `{"error":"response encoding failed"}`, http.StatusInternalServerError)
-		return
-	}
-	b = append(b, '\n')
-	writeRawJSON(w, code, b)
-}
-
-func writeRawJSON(w http.ResponseWriter, code int, body []byte) {
-	h := w.Header()
-	h["Content-Type"] = headerJSON
-	h.Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(code)
-	_, _ = w.Write(body)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...interface{}) {
-	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// errorResponse mirrors the backends' error body shape.
-type errorResponse struct {
-	Error string `json:"error"`
-}

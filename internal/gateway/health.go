@@ -245,7 +245,7 @@ func (g *Gateway) probeExchange(ctx context.Context, b *backend) (bool, string) 
 	if err != nil {
 		return false, "unreachable"
 	}
-	body, rerr := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	body, rerr := io.ReadAll(io.LimitReader(resp.Body, serve.MaxBodyBytes))
 	_ = resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		return false, fmt.Sprintf("http %d", resp.StatusCode)
@@ -320,5 +320,5 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	default:
 		resp.Status = "failing"
 	}
-	writeJSON(w, http.StatusOK, resp)
+	serve.WriteJSON(w, http.StatusOK, resp)
 }

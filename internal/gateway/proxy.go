@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/serve"
-	"repro/internal/singleflight"
 )
 
 // errNoBackends is returned when no member can accept a request at all.
@@ -57,6 +56,9 @@ func writeProxyResult(w http.ResponseWriter, res *proxyResult) {
 	_, _ = w.Write(res.body)
 }
 
+// headerJSON is the Content-Type of a forwarded request body.
+var headerJSON = []string{"application/json"}
+
 // forwardOnce performs one exchange with one backend under the request
 // ID id, buffering the answer and charging the backend's instruments.
 func (g *Gateway) forwardOnce(ctx context.Context, b *backend, method, uri string, body []byte, id []string) (*proxyResult, error) {
@@ -96,17 +98,17 @@ func (g *Gateway) forwardOnce(ctx context.Context, b *backend, method, uri strin
 
 // readBackendBody reads a backend answer's body. A declared length is
 // read into one buffer of that size: net/http ends the body there, so a
-// short body is an error, and a declared length over maxBodyBytes takes
-// the bounded read below instead of its allocation. A body of unknown
-// length is read with a bound, because a member's answer is outside
-// input. A HEAD answer declares a length but carries no body.
+// short body is an error, and a declared length over serve.MaxBodyBytes
+// takes the bounded read below instead of its allocation. A body of
+// unknown length is read with a bound, because a member's answer is
+// outside input. A HEAD answer declares a length but carries no body.
 func readBackendBody(resp *http.Response, method string) ([]byte, error) {
-	if n := resp.ContentLength; n >= 0 && n <= maxBodyBytes && method != http.MethodHead {
+	if n := resp.ContentLength; n >= 0 && n <= serve.MaxBodyBytes && method != http.MethodHead {
 		data := make([]byte, n)
 		_, err := io.ReadFull(resp.Body, data)
 		return data, err
 	}
-	return io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	return io.ReadAll(io.LimitReader(resp.Body, serve.MaxBodyBytes))
 }
 
 // ownerFor resolves a key's backend: the first healthy ring owner not in
@@ -200,19 +202,6 @@ func (g *Gateway) forwardKeyed(ctx context.Context, key, method, uri string, bod
 	return nil, lastErr
 }
 
-// ---- gateway singleflight ------------------------------------------------
-
-// flightGroup coalesces concurrent fetches of one canonical key so a
-// thundering herd costs one backend computation cluster-wide. Waiters
-// share the leader's *proxyResult, whose body is never mutated.
-type flightGroup struct {
-	singleflight.Group[*proxyResult]
-}
-
-// waitersFor reports how many callers are blocked on key's in-flight
-// fetch right now (a test hook for the herd tests).
-func (f *flightGroup) waitersFor(key string) int { return f.Waiters(key) }
-
 // ---- handlers ------------------------------------------------------------
 
 // serveKeyed answers one canonical-keyed license request: singleflight
@@ -232,7 +221,7 @@ func (g *Gateway) serveKeyed(w http.ResponseWriter, r *http.Request, key []byte,
 		g.flightLeader.Inc()
 	}
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "gateway: %v", err)
+		serve.WriteError(w, http.StatusBadGateway, "gateway: %v", err)
 		return
 	}
 	writeProxyResult(w, res)
@@ -254,9 +243,9 @@ func (g *Gateway) handleLicenseGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) handleLicensePost(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "request body too large or unreadable")
+		serve.WriteError(w, http.StatusRequestEntityTooLarge, "request body too large or unreadable")
 		return
 	}
 	single, batch, isBatch, ok := serve.DecodeLicenseBody(body)
@@ -289,7 +278,7 @@ func (g *Gateway) proxyByURI(w http.ResponseWriter, r *http.Request, body []byte
 	uri := r.URL.RequestURI()
 	res, err := g.forwardKeyed(r.Context(), uri, r.Method, uri, body, w.Header()["X-Request-Id"], "")
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "gateway: %v", err)
+		serve.WriteError(w, http.StatusBadGateway, "gateway: %v", err)
 		return
 	}
 	writeProxyResult(w, res)
@@ -298,9 +287,9 @@ func (g *Gateway) proxyByURI(w http.ResponseWriter, r *http.Request, body []byte
 func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 	var body []byte
 	if r.Body != nil {
-		b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxBodyBytes))
 		if err != nil {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body too large or unreadable")
+			serve.WriteError(w, http.StatusRequestEntityTooLarge, "request body too large or unreadable")
 			return
 		}
 		body = b
@@ -309,32 +298,6 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) handleWatch(w http.ResponseWriter, r *http.Request) {
-	writeError(w, http.StatusNotImplemented,
+	serve.WriteError(w, http.StatusNotImplemented,
 		"the gateway does not merge event streams; connect to a backend's /v1/watch directly")
-}
-
-func (g *Gateway) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
-	var buf bytes.Buffer
-	if err := g.reg.WriteProm(&buf); err != nil {
-		writeError(w, http.StatusInternalServerError, "metrics rendering failed: %v", err)
-		return
-	}
-	h := w.Header()
-	h.Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	h.Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(buf.Bytes())
-}
-
-func (g *Gateway) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, g.reg.Snapshot())
-}
-
-func (g *Gateway) handleFlightRec(w http.ResponseWriter, r *http.Request) {
-	if g.flightrec == nil {
-		writeError(w, http.StatusNotFound, "flight recorder disabled")
-		return
-	}
-	caps, pins := g.flightrec.Snapshot()
-	writeJSON(w, http.StatusOK, serve.FlightRecResponse{Count: len(caps), Captures: caps, Pins: pins})
 }

@@ -1,9 +1,11 @@
 package gateway
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -56,7 +58,7 @@ func TestGatewayHerdEchoesEachRequestID(t *testing.T) {
 	key := decisionKeyOf(t, req)
 	tc.gw.flightBarrier = func(k string) {
 		deadline := time.Now().Add(10 * time.Second)
-		for k == key && tc.gw.flights.waitersFor(k) < herd-1 && time.Now().Before(deadline) {
+		for k == key && tc.gw.flights.Waiters(k) < herd-1 && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
 	}
@@ -120,4 +122,65 @@ func TestGatewayMintsAndForwardsRequestID(t *testing.T) {
 		}
 		seen[c.TraceID] = true
 	}
+}
+
+// TestGatewayTelemetryReadsChangeNothing: the gateway answers /metrics,
+// /v1/metrics, /v1/traces and /v1/flightrec from its own registry and
+// ring, and reading them, or a /v1/slo read it proxies to a backend,
+// neither counts nor records anything.
+func TestGatewayTelemetryReadsChangeNothing(t *testing.T) {
+	tc := newTestCluster(t, 3, Config{NoHedge: true}, nil)
+	ids := []string{"tel-0", "tel-1", "tel-2", "tel-3"}
+	for i, id := range ids {
+		if code, _ := tc.getWithID(licenseTarget(i), id); code != http.StatusOK {
+			t.Fatalf("keyed GET %s: %d", id, code)
+		}
+	}
+	ring, _ := tc.gw.flightrec.Snapshot()
+	unchanged := func(after string) {
+		t.Helper()
+		if v := tc.gw.requestsC.Value(); v != uint64(len(ids)) {
+			t.Errorf("after %s: gateway_requests_total = %d, want %d", after, v, len(ids))
+		}
+		if now, _ := tc.gw.flightrec.Snapshot(); !reflect.DeepEqual(now, ring) {
+			t.Errorf("after %s: the ring holds %d records, want the %d keyed GETs'", after, len(now), len(ring))
+		}
+	}
+
+	reads := map[string][]byte{}
+	for _, path := range []string{"/metrics", "/v1/metrics", "/v1/traces", "/v1/flightrec"} {
+		code, h, first := tc.get(path)
+		_, _, second := tc.get(path)
+		if code != http.StatusOK || h.Get("X-Gw-Backend") != "" {
+			t.Fatalf("%s: %d from backend %q, want the gateway's own 200", path, code, h.Get("X-Gw-Backend"))
+		}
+		if !bytes.Equal(first, second) {
+			t.Errorf("two reads of %s differ", path)
+		}
+		reads[path] = first
+		unchanged(path)
+	}
+	if v := promCounterValue(t, reads["/metrics"], "gateway_requests_total"); v != uint64(len(ids)) {
+		t.Errorf("exposition gateway_requests_total = %d, want %d", v, len(ids))
+	}
+	var traces serve.TracesResponse
+	if err := json.Unmarshal(reads["/v1/traces"], &traces); err != nil {
+		t.Fatalf("decode /v1/traces: %v", err)
+	}
+	if traces.Count != len(ids) {
+		t.Fatalf("/v1/traces lists %d requests, want %d", traces.Count, len(ids))
+	}
+	for i, tr := range traces.Traces {
+		want := ids[len(ids)-1-i] // newest first
+		if tr.TraceID != want || tr.Spans[0].Name != "GET /v1/license" {
+			t.Errorf("trace %d = %q %q, want %q GET /v1/license", i, tr.TraceID, tr.Spans[0].Name, want)
+		}
+	}
+
+	// /v1/slo is the backends' to answer; the gateway passes it through
+	// as it passes its own telemetry, unrecorded.
+	if _, h, _ := tc.get("/v1/slo"); h.Get("X-Gw-Backend") == "" {
+		t.Error("/v1/slo was not proxied to a backend")
+	}
+	unchanged("/v1/slo")
 }

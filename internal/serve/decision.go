@@ -288,7 +288,7 @@ func buildDecision(a *fillArgs) (*LicenseResponse, *statusError) {
 }
 
 // encodeCached renders a response to its cached wire form with
-// writeJSON's pooled encoder: the exact bytes writeJSON would produce
+// WriteJSON's pooled encoder: the exact bytes WriteJSON would produce
 // (json.Marshal's plus the trailing newline), the preformatted
 // Content-Length value and the hash of the whole body. A body that ends
 // with its tier's tail keeps a copy of its head only and shares the

@@ -192,4 +192,20 @@ func TestFaultMetricsOnlyWhenMounted(t *testing.T) {
 	if strings.Contains(clean, "fault_injected_total") || strings.Contains(clean, "degraded_responses_total") {
 		t.Error("unfaulted exposition grew fault families")
 	}
+
+	// A plan that injects nothing is not mounted: after the same traffic,
+	// its exposition is an unfaulted server's, byte for byte, and its
+	// health carries no faults block.
+	none := faultedServer(t, 6, "none", nil)
+	plain := newTestServer(t)
+	for _, srv := range []*Server{none, plain} {
+		do(t, srv.Handler(), "GET", "/v1/license?ctp=21125&dest=india", "")
+	}
+	got := do(t, none.Handler(), "GET", "/metrics", "").Body.String()
+	if want := do(t, plain.Handler(), "GET", "/metrics", "").Body.String(); got != want {
+		t.Error("an inactive fault plan changed the exposition")
+	}
+	if hr := healthOf(t, none); hr.Faults != nil {
+		t.Errorf("an inactive fault plan reports a healthz faults block: %+v", hr.Faults)
+	}
 }

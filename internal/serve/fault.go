@@ -29,7 +29,7 @@ func isDegraded(ctx context.Context) bool {
 // readiness poll must not consume schedule slots out from under the
 // routes whose fault sequence the chaos suite replays.
 func faultInjectable(route string) bool {
-	return !selfObserved(route) && route != "/v1/healthz"
+	return !SelfObserved(route) && route != "/v1/healthz"
 }
 
 // injectFault consumes the plan's next schedule slot for the route and
@@ -53,7 +53,7 @@ func (s *Server) injectFault(w http.ResponseWriter, route string) (fired string,
 	s.publishFaultEvent(route, d.Kind)
 	switch d.Kind {
 	case fault.Error:
-		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "injected fault"})
+		WriteJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "injected fault"})
 		return fired, false, true
 	case fault.Latency:
 		s.sleep(d.Delay)

@@ -20,7 +20,7 @@ import (
 	"repro/internal/threshold"
 )
 
-// jsonScratch is a pooled encode buffer for writeJSON: the bytes.Buffer
+// jsonScratch is a pooled encode buffer for WriteJSON: the bytes.Buffer
 // and the json.Encoder bound to it survive across requests, so the cold
 // and non-license endpoints reuse encoder state instead of re-marshaling
 // into fresh buffers.
@@ -45,29 +45,25 @@ func (js *jsonScratch) encode(v interface{}) ([]byte, error) {
 	return js.buf.Bytes(), nil
 }
 
-// writeJSON encodes v and writes it with the given status. Encoding
+// WriteJSON encodes v and writes it with the given status. Encoding
 // happens before the header goes out so an encoding failure can still
 // become a 500 instead of a torn body, and the finished length goes out
-// as Content-Length on every endpoint.
-func writeJSON(w http.ResponseWriter, code int, v interface{}) {
+// as Content-Length on every endpoint. The server and the gateway answer
+// through these three writers.
+func WriteJSON(w http.ResponseWriter, code int, v interface{}) {
 	js := jsonPool.Get().(*jsonScratch)
+	defer jsonPool.Put(js)
 	b, err := js.encode(v)
 	if err != nil {
-		jsonPool.Put(js)
 		http.Error(w, `{"error":"response encoding failed"}`, http.StatusInternalServerError)
 		return
 	}
-	h := w.Header()
-	h["Content-Type"] = headerJSON
-	h.Set("Content-Length", strconv.Itoa(len(b)))
-	w.WriteHeader(code)
-	_, _ = w.Write(b)
-	jsonPool.Put(js)
+	WriteRawJSON(w, code, b)
 }
 
-// writeRawJSON writes an already-encoded JSON body (trailing newline
+// WriteRawJSON writes an already-encoded JSON body (trailing newline
 // included) with the given status.
-func writeRawJSON(w http.ResponseWriter, code int, body []byte) {
+func WriteRawJSON(w http.ResponseWriter, code int, body []byte) {
 	h := w.Header()
 	h["Content-Type"] = headerJSON
 	h.Set("Content-Length", strconv.Itoa(len(body)))
@@ -75,9 +71,9 @@ func writeRawJSON(w http.ResponseWriter, code int, body []byte) {
 	_, _ = w.Write(body)
 }
 
-// writeError writes a JSON error body with the given status.
-func writeError(w http.ResponseWriter, code int, format string, args ...interface{}) {
-	writeJSON(w, code, ErrorResponse{Error: fmt.Sprintf(format, args...)})
+// WriteError writes a JSON error body with the given status.
+func WriteError(w http.ResponseWriter, code int, format string, args ...interface{}) {
+	WriteJSON(w, code, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
 // statusError carries an HTTP status alongside an error. Handlers build
@@ -114,9 +110,9 @@ type licensePostBody struct {
 }
 
 // readBody reads the request body into the scratch buffer, enforcing
-// maxBodyBytes, without io.ReadAll's per-request growth allocations.
+// MaxBodyBytes, without io.ReadAll's per-request growth allocations.
 func readBody(sc *scratch, w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	rd := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	rd := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	buf := sc.buf[:0]
 	if cap(buf) == 0 {
 		buf = make([]byte, 0, 4096)
@@ -142,21 +138,21 @@ func (s *Server) handleLicensePost(w http.ResponseWriter, r *http.Request) {
 	defer putScratch(sc)
 	body, err := readBody(sc, w, r)
 	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "request body too large or unreadable")
+		WriteError(w, http.StatusRequestEntityTooLarge, "request body too large or unreadable")
 		return
 	}
 	if err := decodeLicensePostBody(body, &sc.pb); err != nil {
-		writeError(w, http.StatusBadRequest, "malformed license request: %v", err)
+		WriteError(w, http.StatusBadRequest, "malformed license request: %v", err)
 		return
 	}
 
 	if sc.pb.Requests != nil {
 		if sc.pb.LicenseRequest != (LicenseRequest{}) {
-			writeError(w, http.StatusBadRequest, "give a single request or a batch, not both")
+			WriteError(w, http.StatusBadRequest, "give a single request or a batch, not both")
 			return
 		}
 		if len(sc.pb.Requests) > s.cfg.MaxBatch {
-			writeError(w, http.StatusRequestEntityTooLarge,
+			WriteError(w, http.StatusRequestEntityTooLarge,
 				"batch of %d exceeds the %d-request limit", len(sc.pb.Requests), s.cfg.MaxBatch)
 			return
 		}
@@ -172,7 +168,7 @@ func (s *Server) handleLicenseGet(w http.ResponseWriter, r *http.Request) {
 	defer putScratch(sc)
 	sc.req = LicenseRequest{}
 	if herr := parseLicenseQuery(r.URL.RawQuery, &sc.req); herr != nil {
-		writeError(w, herr.code, "%v", herr.err)
+		WriteError(w, herr.code, "%v", herr.err)
 		return
 	}
 	s.answerLicense(w, r, &sc.req, sc)
@@ -208,7 +204,7 @@ func writeDecision(w http.ResponseWriter, d *cachedDecision, cacheState []string
 // the cached one exactly.
 func (s *Server) answerLicense(w http.ResponseWriter, r *http.Request, req *LicenseRequest, sc *scratch) {
 	if herr := s.resolveLicense(req, &sc.args); herr != nil {
-		writeError(w, herr.code, "%v", herr.err)
+		WriteError(w, herr.code, "%v", herr.err)
 		return
 	}
 	ctx := r.Context()
@@ -220,7 +216,7 @@ func (s *Server) answerLicense(w http.ResponseWriter, r *http.Request, req *Lice
 		lookup.End()
 		d, herr := s.evalDecision(ctx, &sc.args)
 		if herr != nil {
-			writeError(w, herr.code, "%v", herr.err)
+			WriteError(w, herr.code, "%v", herr.err)
 			return
 		}
 		writeDecision(w, d, headerCacheMiss)
@@ -236,7 +232,7 @@ func (s *Server) answerLicense(w http.ResponseWriter, r *http.Request, req *Lice
 	lookup.End()
 	d, coalesced, err := s.flightDo(ctx, sc.key, &sc.args)
 	if err != nil {
-		writeError(w, statusOf(err), "%v", err)
+		WriteError(w, statusOf(err), "%v", err)
 		return
 	}
 	if coalesced {
@@ -367,7 +363,7 @@ func (s *Server) answerBatch(w http.ResponseWriter, r *http.Request, sc *scratch
 		eval.End()
 	}
 	if cut.Load() {
-		writeError(w, errTimedOut.code, "%v", errTimedOut)
+		WriteError(w, errTimedOut.code, "%v", errTimedOut)
 		return
 	}
 
@@ -391,7 +387,7 @@ func (s *Server) answerBatch(w http.ResponseWriter, r *http.Request, sc *scratch
 	}
 	body = append(body, ']', '}', '\n')
 	sc.buf = body
-	writeRawJSON(w, http.StatusOK, body)
+	WriteRawJSON(w, http.StatusOK, body)
 }
 
 // ---- /v1/catalog ---------------------------------------------------------
@@ -434,22 +430,22 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	origin, haveOrigin, err := parseOrigin(q.Get("origin"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	minCTP, err := floatParam(q.Get("minctp"), "minctp")
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	maxCTP, err := floatParam(q.Get("maxctp"), "maxctp")
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	year, err := floatParam(q.Get("year"), "year")
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	classSub := strings.ToLower(strings.TrimSpace(q.Get("class")))
@@ -501,7 +497,7 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 			Source:        sys.Source.String(),
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // ---- /v1/apps ------------------------------------------------------------
@@ -524,22 +520,22 @@ func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	deployed, haveDeployed, err := boolParam(q.Get("deployed"), "deployed")
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	realTime, haveRealTime, err := boolParam(q.Get("realtime"), "realtime")
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	minMtops, err := floatParam(q.Get("min"), "min")
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	maxMtops, err := floatParam(q.Get("max"), "max")
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	missionSub := strings.ToLower(strings.TrimSpace(q.Get("mission")))
@@ -585,7 +581,7 @@ func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Applications[i] = dto
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // ---- /v1/threshold -------------------------------------------------------
@@ -596,7 +592,7 @@ func (s *Server) handleThreshold(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("date"); v != "" {
 		d, err := strconv.ParseFloat(v, 64)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad date %q", v)
+			WriteError(w, http.StatusBadRequest, "bad date %q", v)
 			return
 		}
 		date = d
@@ -610,19 +606,19 @@ func (s *Server) handleThreshold(w http.ResponseWriter, r *http.Request) {
 			!errors.Is(err, threshold.ErrNoFrontier) && !errors.Is(err, threshold.ErrNoSystems) {
 			code = http.StatusInternalServerError
 		}
-		writeError(w, code, "%v", err)
+		WriteError(w, code, "%v", err)
 		return
 	}
 	out := snapshotDTO(snap)
 	if project {
 		p, err := s.projection()
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, "projection: %v", err)
+			WriteError(w, http.StatusInternalServerError, "projection: %v", err)
 			return
 		}
 		out.Projection = p
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // snapshotAt returns the framework snapshot for a date, read-through the
@@ -757,50 +753,61 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp.WAL = s.walHealth()
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // ---- observability endpoints ---------------------------------------------
 
-// handleMetricsProm serves the registry in Prometheus text exposition
-// format. The rendering is deterministic — families and series in sorted
-// order, fixed histogram shape — so two scrapes of an idle daemon are
-// byte-identical.
-func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
-	if s.met == nil {
-		writeError(w, http.StatusNotFound, "metrics disabled")
-		return
+// MountTelemetry registers the read-only telemetry endpoints on mux:
+//
+//	GET /metrics       reg in Prometheus text exposition format
+//	GET /v1/metrics    reg as a JSON snapshot
+//	GET /v1/traces     the span trees of rec's live ring, newest first
+//	GET /v1/flightrec  rec's live ring newest-first plus its pinned groups
+//
+// A nil rec answers both recorder endpoints 404. beforeScrape, when
+// non-nil, runs before either metrics rendering: the server evaluates its
+// SLO engine there, so the slo_* gauges render this scrape's verdicts.
+// The exposition is deterministic (sorted families and series, fixed
+// histogram shape) and, like every answer, carries its Content-Length.
+// The server and the gateway both mount these routes, and both
+// middlewares pass them through unobserved (SelfObserved), so two reads
+// of an idle daemon are byte-identical.
+func MountTelemetry(mux *http.ServeMux, reg *obs.Registry, rec *obs.Recorder, beforeScrape func()) {
+	if beforeScrape == nil {
+		beforeScrape = func() {}
 	}
-	// Evaluate the SLO engine at the scrape instant, so the slo_* gauges
-	// render the verdicts of this scrape, not a stale evaluation.
-	s.sloEval()
-	var buf bytes.Buffer
-	if err := s.met.reg.WriteProm(&buf); err != nil {
-		writeError(w, http.StatusInternalServerError, "metrics rendering failed: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(buf.Bytes())
-}
-
-// handleMetricsJSON serves the same registry as a JSON snapshot.
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	if s.met == nil {
-		writeError(w, http.StatusNotFound, "metrics disabled")
-		return
-	}
-	s.sloEval()
-	writeJSON(w, http.StatusOK, s.met.reg.Snapshot())
-}
-
-// handleTraces serves the span trees of the flight recorder's live ring,
-// newest first. 404 when the recorder is disabled.
-func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if s.flightrec == nil {
-		writeError(w, http.StatusNotFound, "flight recorder disabled")
-		return
-	}
-	traces := s.flightrec.Traces()
-	writeJSON(w, http.StatusOK, TracesResponse{Count: len(traces), Traces: traces})
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		beforeScrape()
+		var buf bytes.Buffer
+		if err := reg.WriteProm(&buf); err != nil {
+			WriteError(w, http.StatusInternalServerError, "metrics rendering failed: %v", err)
+			return
+		}
+		h := w.Header()
+		h.Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		h.Set("Content-Length", strconv.Itoa(buf.Len()))
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(buf.Bytes())
+	})
+	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
+		beforeScrape()
+		WriteJSON(w, http.StatusOK, reg.Snapshot())
+	})
+	mux.HandleFunc("GET /v1/traces", func(w http.ResponseWriter, r *http.Request) {
+		if rec == nil {
+			WriteError(w, http.StatusNotFound, "flight recorder disabled")
+			return
+		}
+		traces := rec.Traces()
+		WriteJSON(w, http.StatusOK, TracesResponse{Count: len(traces), Traces: traces})
+	})
+	mux.HandleFunc("GET /v1/flightrec", func(w http.ResponseWriter, r *http.Request) {
+		if rec == nil {
+			WriteError(w, http.StatusNotFound, "flight recorder disabled")
+			return
+		}
+		caps, pins := rec.Snapshot()
+		WriteJSON(w, http.StatusOK, FlightRecResponse{Count: len(caps), Captures: caps, Pins: pins})
+	})
 }

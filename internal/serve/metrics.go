@@ -40,14 +40,15 @@ func RouteOf(path string) string {
 	return "other"
 }
 
-// selfObserved reports whether a route is one of the observability
+// SelfObserved reports whether a route is one of the observability
 // endpoints. Those are exempt from their own instruments — a /metrics
 // scrape that counted itself would make two consecutive scrapes of an
 // idle daemon differ, a traced /v1/traces request would change the very
 // ring it reports, and a /v1/flightrec dump that recorded itself would
 // push real captures out of the ring it is dumping — so reading the
-// telemetry never changes it.
-func selfObserved(route string) bool {
+// telemetry never changes it. The server's and the gateway's middleware
+// both pass a request through unobserved by SelfObserved(RouteOf(path)).
+func SelfObserved(route string) bool {
 	switch route {
 	case "/metrics", "/v1/metrics", "/v1/traces", "/v1/slo", "/v1/flightrec":
 		return true
@@ -125,7 +126,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.flightWaiters = reg.Counter("singleflight_coalesced_waits_total",
 		"decision requests coalesced onto another request's in-flight fill")
 	for _, route := range obsRoutes {
-		if selfObserved(route) {
+		if SelfObserved(route) {
 			continue
 		}
 		ri := &routeInstruments{
@@ -149,7 +150,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		}
 		m.routes[route] = ri
 	}
-	if s.cfg.Fault != nil {
+	if s.fault != nil {
 		m.faults = make(map[string]*[3]*obs.Counter)
 		m.degraded = reg.Counter("degraded_responses_total",
 			"requests served cache-bypassed because a poison fault fired")

@@ -9,26 +9,28 @@ import (
 	"repro/internal/obs"
 )
 
-// statusWriter records the status code and whether a body write happened,
-// so the middleware can log the outcome and recover cleanly from a
-// handler panic without double-writing headers.
-type statusWriter struct {
+// StatusWriter records the status code and whether a body write happened,
+// so a middleware can log and record the outcome and recover cleanly from
+// a handler panic without double-writing headers. Code is the status the
+// response went out with, 0 until the handler writes. The server's and
+// the gateway's middleware both wrap their handlers in one.
+type StatusWriter struct {
 	http.ResponseWriter
-	code  int
+	Code  int
 	wrote bool
 }
 
-func (w *statusWriter) WriteHeader(code int) {
+func (w *StatusWriter) WriteHeader(code int) {
 	if !w.wrote {
-		w.code = code
+		w.Code = code
 		w.wrote = true
 	}
 	w.ResponseWriter.WriteHeader(code)
 }
 
-func (w *statusWriter) Write(b []byte) (int, error) {
+func (w *StatusWriter) Write(b []byte) (int, error) {
 	if !w.wrote {
-		w.code = http.StatusOK
+		w.Code = http.StatusOK
 		w.wrote = true
 	}
 	return w.ResponseWriter.Write(b)
@@ -84,7 +86,7 @@ func (s *Server) middleware(inner http.Handler) http.Handler {
 		// only when a WAL is mounted.
 		if r.URL.Path == "/v1/watch" {
 			if r.Method != http.MethodGet {
-				writeError(w, http.StatusMethodNotAllowed, "watch supports GET only")
+				WriteError(w, http.StatusMethodNotAllowed, "watch supports GET only")
 				return
 			}
 			s.handleWatch(w, r)
@@ -92,13 +94,13 @@ func (s *Server) middleware(inner http.Handler) http.Handler {
 		}
 
 		route := RouteOf(r.URL.Path)
-		observed := !selfObserved(route)
+		observed := !SelfObserved(route)
 
 		semStart := s.clock()
 		select {
 		case s.sem <- struct{}{}:
 		case <-r.Context().Done():
-			writeJSON(w, http.StatusServiceUnavailable,
+			WriteJSON(w, http.StatusServiceUnavailable,
 				ErrorResponse{Error: "server at capacity; client gave up waiting"})
 			return
 		}
@@ -121,7 +123,7 @@ func (s *Server) middleware(inner http.Handler) http.Handler {
 		if observed && route != "/v1/healthz" {
 			ctx, rec = s.flightrec.Open(ctx, s.clock, start, r.Method, route, id)
 		}
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &StatusWriter{ResponseWriter: w}
 		var fault string
 		var degraded bool
 		defer func() {
@@ -129,14 +131,14 @@ func (s *Server) middleware(inner http.Handler) http.Handler {
 			cache := sw.Header().Get("X-Cache")
 			if v := recover(); v != nil {
 				if !sw.wrote {
-					writeJSON(sw, http.StatusInternalServerError,
+					WriteJSON(sw, http.StatusInternalServerError,
 						ErrorResponse{Error: "internal error"})
 				}
 				if observed && s.met != nil {
 					s.met.panics.Inc()
 					s.met.requestDone(route, http.StatusInternalServerError, int64(dur), id)
 				}
-				s.seal(rec, route, sw.code, dur, cache, fault, degraded, true)
+				s.seal(rec, route, sw.Code, dur, cache, fault, degraded, true)
 				if s.logger != nil {
 					s.logger.LogAttrs(ctx, slog.LevelError, "panic",
 						slog.String("req", id), slog.String("route", route),
@@ -145,16 +147,16 @@ func (s *Server) middleware(inner http.Handler) http.Handler {
 				return
 			}
 			if observed && s.met != nil {
-				s.met.requestDone(route, sw.code, int64(dur), id)
+				s.met.requestDone(route, sw.Code, int64(dur), id)
 			}
-			s.seal(rec, route, sw.code, dur, cache, fault, degraded, false)
+			s.seal(rec, route, sw.Code, dur, cache, fault, degraded, false)
 			if s.logger != nil {
 				attrs := []slog.Attr{
 					slog.String("req", id),
 					slog.String("method", r.Method),
 					slog.String("route", route),
 					slog.String("target", r.URL.RequestURI()),
-					slog.Int("status", sw.code),
+					slog.Int("status", sw.Code),
 					slog.Duration("duration", dur),
 				}
 				if cache != "" {

@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -51,6 +52,9 @@ func TestMetricsScrapeStable(t *testing.T) {
 	}
 	if ct := a.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Errorf("content type = %q", ct)
+	}
+	if cl := a.Header().Get("Content-Length"); cl != strconv.Itoa(a.Body.Len()) {
+		t.Errorf("Content-Length = %q, want the body's %d bytes", cl, a.Body.Len())
 	}
 	if !bytes.Equal(a.Body.Bytes(), b.Body.Bytes()) || !bytes.Equal(b.Body.Bytes(), c.Body.Bytes()) {
 		t.Error("consecutive scrapes of an idle daemon differ")

@@ -75,9 +75,10 @@ const (
 	DefaultSnapshotEvery  = 1024
 )
 
-// maxBodyBytes caps request bodies; a license batch at the default limits
-// is far below this.
-const maxBodyBytes = 1 << 20
+// MaxBodyBytes caps the request bodies the server and the gateway read,
+// and the backend answers the gateway buffers; a license batch at the
+// default limits is far below this.
+const MaxBodyBytes = 1 << 20
 
 // Config configures a Server. The zero value selects the default limits,
 // the wall clock, and no request log. The listener is the caller's: Serve
@@ -100,14 +101,16 @@ type Config struct {
 	// request logging.
 	Logger *slog.Logger
 
-	// Fault, when non-nil, mounts deterministic fault injection in the
-	// middleware: each arrival on an injectable route consumes the plan's
-	// next schedule slot and may be answered with an injected 503,
-	// delayed, or served with poisoned caches (degraded mode). The
-	// observability endpoints and /v1/healthz are never injected, so
-	// scrapes and health probes neither consume schedule slots nor lose
-	// reachability, and New refuses a profile overriding them or any
-	// route it does not serve. Nil disables injection entirely.
+	// Fault, when its profile is active, mounts deterministic fault
+	// injection in the middleware: each arrival on a route the profile
+	// injects consumes the plan's next schedule slot and may be answered
+	// with an injected 503, delayed, or served with poisoned caches
+	// (degraded mode). The observability endpoints and /v1/healthz are
+	// never injected, so scrapes and health probes neither consume
+	// schedule slots nor lose reachability, and New refuses a profile
+	// overriding them or any route it does not serve. Nil or an inactive
+	// profile disables injection entirely, and the exposition and
+	// /v1/healthz carry no fault accounting.
 	Fault *fault.Plan
 
 	// Sleep performs injected latency pauses. Nil means time.Sleep; the
@@ -164,7 +167,7 @@ type Server struct {
 	slo       *slo.Engine
 	flightrec *obs.Recorder
 
-	fault *fault.Plan         // nil disables fault injection
+	fault *fault.Plan         // the mounted plan: nil disables fault injection
 	sleep func(time.Duration) // performs injected latency
 
 	// wal is the mounted decision log (nil when Config.WAL is nil), with
@@ -265,7 +268,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		clock:     clock,
 		logger:    cfg.Logger,
-		fault:     cfg.Fault,
 		sleep:     sleep,
 		wal:       cfg.WAL,
 		sem:       make(chan struct{}, cfg.MaxInFlight),
@@ -275,12 +277,17 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.SLO.Validate(); err != nil {
 		return nil, err
 	}
-	if err := checkOverrides("SLO", cfg.SLO.Routes, func(r string) bool { return !selfObserved(r) }); err != nil {
+	if err := checkOverrides("SLO", cfg.SLO.Routes, func(r string) bool { return !SelfObserved(r) }); err != nil {
 		return nil, err
 	}
 	if cfg.Fault != nil {
 		if err := checkOverrides("fault", cfg.Fault.Profile().Routes, faultInjectable); err != nil {
 			return nil, err
+		}
+		// A plan that injects nothing is not mounted, like an inactive SLO
+		// profile: no fault series, no healthz block, no slots taken.
+		if cfg.Fault.Profile().Active() {
+			s.fault = cfg.Fault
 		}
 	}
 	if cfg.FlightCapacity >= 0 {
@@ -342,11 +349,8 @@ func (s *Server) routes() http.Handler {
 	mux.HandleFunc("GET /v1/apps", s.handleApps)
 	mux.HandleFunc("GET /v1/threshold", s.handleThreshold)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	mux.HandleFunc("GET /metrics", s.handleMetricsProm)
-	mux.HandleFunc("GET /v1/metrics", s.handleMetricsJSON)
-	mux.HandleFunc("GET /v1/traces", s.handleTraces)
 	mux.HandleFunc("GET /v1/slo", s.handleSLO)
-	mux.HandleFunc("GET /v1/flightrec", s.handleFlightRec)
+	MountTelemetry(mux, s.met.reg, s.flightrec, func() { s.sloEval() })
 	return mux
 }
 

@@ -108,27 +108,11 @@ func (s *Server) sloEval() slo.Evaluation {
 // endpoint exists only when an SLO profile is mounted (404 otherwise).
 func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 	if s.slo == nil {
-		writeError(w, http.StatusNotFound, "no SLO profile mounted; start the daemon with -slo")
+		WriteError(w, http.StatusNotFound, "no SLO profile mounted; start the daemon with -slo")
 		return
 	}
-	writeJSON(w, http.StatusOK, SLOResponse{
+	WriteJSON(w, http.StatusOK, SLOResponse{
 		Profile:    s.cfg.SLO.String(),
 		Evaluation: s.sloEval(),
-	})
-}
-
-// handleFlightRec dumps the flight recorder: the live capture ring
-// newest-first plus every pinned anomaly group oldest-first. 404 when
-// the recorder is disabled (Config.FlightCapacity < 0).
-func (s *Server) handleFlightRec(w http.ResponseWriter, r *http.Request) {
-	if s.flightrec == nil {
-		writeError(w, http.StatusNotFound, "flight recorder disabled")
-		return
-	}
-	caps, pins := s.flightrec.Snapshot()
-	writeJSON(w, http.StatusOK, FlightRecResponse{
-		Count:    len(caps),
-		Captures: caps,
-		Pins:     pins,
 	})
 }

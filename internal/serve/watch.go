@@ -34,19 +34,19 @@ import (
 // by the hub's ring; older events are gone).
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	if s.hub == nil {
-		writeError(w, http.StatusNotFound, "no decision log mounted; start the daemon with -data-dir")
+		WriteError(w, http.StatusNotFound, "no decision log mounted; start the daemon with -data-dir")
 		return
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported by connection")
+		WriteError(w, http.StatusInternalServerError, "streaming unsupported by connection")
 		return
 	}
 	var since uint64
 	if v := r.URL.Query().Get("since"); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad since cursor %q", v)
+			WriteError(w, http.StatusBadRequest, "bad since cursor %q", v)
 			return
 		}
 		since = n
@@ -54,7 +54,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 
 	events, backlog, ok := s.hub.subscribe(since)
 	if !ok {
-		writeError(w, http.StatusServiceUnavailable,
+		WriteError(w, http.StatusServiceUnavailable,
 			"watch subscriber limit (%d) reached", maxWatchers)
 		return
 	}
