@@ -180,6 +180,26 @@ fi
 kill "$loadpid"
 loadpid=""
 
+echo "== perfbench smoke (live traffic through both daemons and the WAL, byte-checked) =="
+# One short run per workload: hot-get drives cached GETs through a
+# server, cold-post-wal POSTs new decisions through a warm-started WAL,
+# and gateway-get sends hot-get's keys through the gateway over three
+# backends. perfbench byte-compares every answer with its cold
+# computation, so each run's last line must report "correct":true and
+# "failed":0. The run builds from source into .bench_build.
+for workload in hot-get cold-post-wal gateway-get; do
+	bash perfbench/run.sh --workload "$workload" --seed 1 --seconds 1 --trace 0 \
+		> "$scrapedir/perfbench_$workload"
+	last=$(tail -n 1 "$scrapedir/perfbench_$workload")
+	case "$last" in
+	*'"correct":true,'*'"failed":0,'*) ;;
+	*)
+		echo "ci.sh: perfbench $workload did not report correct with 0 failed: $last" >&2
+		exit 1
+		;;
+	esac
+done
+
 echo "== hpcvet ./internal/wal (durability gates) =="
 go run ./cmd/hpcvet ./internal/wal
 

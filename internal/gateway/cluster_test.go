@@ -168,6 +168,53 @@ func TestGatewayHedgeByteIdentity(t *testing.T) {
 	}
 }
 
+// TestHedgingCutsAnOwnersRareStall pins why hedging stays: an owner
+// that stalls 200 ms on every 50th /v1/license arrival. Under default
+// hedging, on the wall clock so the hedge delay follows the owner's own
+// p95, each of 200 sequential keyed GETs of the owner's keys finishes
+// under 100 ms: a stalled fetch is raced, and the replica answers it.
+// With NoHedge, the stalls reach the caller.
+func TestHedgingCutsAnOwnersRareStall(t *testing.T) {
+	const gets, every, stall = 200, 50, 200 * time.Millisecond
+	for _, noHedge := range []bool{false, true} {
+		tc := newTestCluster(t, 3, Config{NoHedge: noHedge, Clock: time.Now}, nil)
+		owner := tc.backends[0]
+		var targets []string
+		for i := 0; len(targets) < 50; i++ {
+			req := licenseRequest(i)
+			if tc.gw.healthyOwners(decisionKeyOf(t, req), 1)[0] == owner.url {
+				targets = append(targets, "/v1/license?"+req.Values().Encode())
+			}
+		}
+		for _, target := range targets {
+			if code, _, body := tc.get(target); code != http.StatusOK {
+				t.Fatalf("warming %s: %d: %s", target, code, body)
+			}
+		}
+		owner.setSlowEvery(every, stall)
+
+		var slowest time.Duration
+		for i := range gets {
+			begin := time.Now()
+			code, _, body := tc.get(targets[i%len(targets)])
+			took := time.Since(begin)
+			if code != http.StatusOK {
+				t.Fatalf("noHedge=%v GET %d: %d: %s", noHedge, i, code, body)
+			}
+			if !noHedge && took >= 100*time.Millisecond {
+				t.Errorf("hedged GET %d took %v, want under 100ms", i, took)
+			}
+			slowest = max(slowest, took)
+		}
+		if noHedge && slowest < stall {
+			t.Errorf("NoHedge: slowest of %d GETs took %v, want a %v stall to reach the caller", gets, slowest, stall)
+		}
+		if hedges := tc.gw.hedges.Value(); noHedge != (hedges == 0) {
+			t.Errorf("noHedge=%v: gateway_hedges_total = %d", noHedge, hedges)
+		}
+	}
+}
+
 func readAll(t *testing.T, resp *http.Response) []byte {
 	t.Helper()
 	defer func() { _ = resp.Body.Close() }()

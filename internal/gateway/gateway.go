@@ -37,7 +37,6 @@ import (
 	"net"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -177,8 +176,6 @@ type Gateway struct {
 	// share the leader's *proxyResult, whose body is never mutated.
 	flights singleflight.Group[*proxyResult]
 
-	requests atomic.Uint64
-
 	// loopWG joins the prober goroutine; verifyWG joins every fetch
 	// goroutine (launch.go), running or parked. Close waits on both.
 	loopWG   sync.WaitGroup
@@ -190,7 +187,7 @@ type Gateway struct {
 	parked      []chan func()
 	fetchClosed bool
 
-	requestsC       *obs.Counter
+	requests        *obs.Counter // gateway_requests_total: admissions, the gw-N sequence, healthz requests
 	hedges          *obs.Counter
 	hedgeWins       *obs.Counter
 	hedgeIdentical  *obs.Counter
@@ -292,7 +289,7 @@ func New(cfg Config) (*Gateway, error) {
 		g.flightrec = obs.NewRecorder(cfg.FlightCapacity)
 	}
 	g.flights.Abandoned = errors.New("gateway: keyed fetch panicked")
-	g.requestsC = g.reg.Counter("gateway_requests_total", "requests admitted through the gateway")
+	g.requests = g.reg.Counter("gateway_requests_total", "requests admitted through the gateway")
 	g.hedges = g.reg.Counter("gateway_hedges_total", "hedged second fetches launched")
 	g.hedgeWins = g.reg.Counter("gateway_hedge_wins_total", "hedged fetches that answered before the primary")
 	g.hedgeIdentical = g.reg.Counter("gateway_hedge_identical_total", "hedge races where both replicas answered byte-identically")
@@ -384,12 +381,15 @@ func (g *Gateway) routes() http.Handler {
 	return mux
 }
 
-// middleware counts admitted requests, answers each under the request ID
-// the gateway owns (serve.RequestID over its admission counter, minted as
-// "gw-N"), which every backend exchange for the request forwards, and
-// records each routed request into the flight recorder. A self-observed
-// route (serve.SelfObserved) passes through untouched, so reading the
-// gateway's telemetry never changes it.
+// middleware counts each admitted request once, in
+// gateway_requests_total, whose new value also numbers the request ID
+// the gateway mints ("gw-N" by serve.RequestID, unless the request
+// brought one), and which healthz reports as requests. Every backend
+// exchange for the request forwards that ID, and each routed request is
+// recorded into the flight recorder. A self-observed route
+// (serve.SelfObserved) passes through untouched — uncounted, unrecorded,
+// answered without an ID — so reading the gateway's telemetry never
+// changes it; the server's middleware follows the same rule.
 func (g *Gateway) middleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		route := serve.RouteOf(r.URL.Path)
@@ -397,8 +397,7 @@ func (g *Gateway) middleware(next http.Handler) http.Handler {
 			next.ServeHTTP(w, r)
 			return
 		}
-		g.requestsC.Inc()
-		id := serve.RequestID(r.Header, "gw-", g.requests.Add(1))
+		id := serve.RequestID(r.Header, "gw-", g.requests.Inc())
 		w.Header()["X-Request-Id"] = id
 		if g.flightrec == nil {
 			next.ServeHTTP(w, r)

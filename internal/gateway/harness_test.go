@@ -28,18 +28,21 @@ func gwTestClock() time.Time { return time.Unix(800000000, 0) }
 
 // testBackend is one cluster member: a real serve.Server behind a shell
 // that counts per-path arrivals and injects the per-backend fault
-// profile the harness owns — an added /v1/license delay and a /v1/healthz
-// override (so drain tests flip a backend's self-report without the
-// sticky degradation a real fault plan would leave behind).
+// profile the harness owns — an added /v1/license delay, on every
+// arrival or on every Nth, and a /v1/healthz override (so drain tests
+// flip a backend's self-report without the sticky degradation a real
+// fault plan would leave behind).
 type testBackend struct {
 	srv *serve.Server
 	ts  *httptest.Server
 	url string
 
-	mu      sync.Mutex
-	hits    map[string]int
-	delay   time.Duration // extra wall-clock latency on /v1/license
-	healthz string        // non-empty: override the healthz status
+	mu        sync.Mutex
+	hits      map[string]int
+	delay     time.Duration // extra wall-clock latency on /v1/license
+	slowEvery int           // > 0: delay only every slowEvery-th /v1/license arrival
+	slowSeen  int           // /v1/license arrivals since setSlowEvery
+	healthz   string        // non-empty: override the healthz status
 }
 
 func (tb *testBackend) handler() http.Handler {
@@ -47,6 +50,11 @@ func (tb *testBackend) handler() http.Handler {
 		tb.mu.Lock()
 		tb.hits[r.URL.Path]++
 		delay, hz := tb.delay, tb.healthz
+		if r.URL.Path == "/v1/license" && tb.slowEvery > 0 {
+			if tb.slowSeen++; tb.slowSeen%tb.slowEvery != 0 {
+				delay = 0
+			}
+		}
 		tb.mu.Unlock()
 		if r.URL.Path == "/v1/healthz" && hz != "" {
 			w.Header().Set("Content-Type", "application/json")
@@ -69,6 +77,14 @@ func (tb *testBackend) pathHits(path string) int {
 func (tb *testBackend) setDelay(d time.Duration) {
 	tb.mu.Lock()
 	tb.delay = d
+	tb.mu.Unlock()
+}
+
+// setSlowEvery delays every nth /v1/license arrival, counted from this
+// call, by d; the arrivals between run at full speed.
+func (tb *testBackend) setSlowEvery(n int, d time.Duration) {
+	tb.mu.Lock()
+	tb.delay, tb.slowEvery, tb.slowSeen = d, n, 0
 	tb.mu.Unlock()
 }
 

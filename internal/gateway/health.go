@@ -291,7 +291,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	list := g.backendList()
 	resp := HealthResponse{
 		UptimeSeconds:   g.clock().Sub(g.start).Seconds(),
-		Requests:        g.requests.Load(),
+		Requests:        g.requests.Value(),
 		Members:         len(list),
 		Hedges:          g.hedges.Value(),
 		HedgeMismatches: g.hedgeMismatch.Value(),

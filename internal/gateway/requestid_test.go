@@ -15,23 +15,24 @@ import (
 	"repro/internal/serve"
 )
 
-// getWithID sends one GET through the gateway's front under a request ID
-// ("" sends none) and returns the status and the answered ID.
-func (tc *testCluster) getWithID(path, id string) (int, string) {
-	tc.t.Helper()
-	req, err := http.NewRequest(http.MethodGet, tc.front.URL+path, nil)
+// getWithID sends one GET to url, the gateway's front or a backend,
+// under a request ID ("" sends none) and returns the status and the
+// answered ID ("" when the answer carries none).
+func getWithID(t *testing.T, url, id string) (int, string) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, url, nil)
 	if err != nil {
-		tc.t.Fatal(err)
+		t.Fatal(err)
 	}
 	if id != "" {
 		req.Header.Set("X-Request-Id", id)
 	}
-	resp, err := tc.front.Client().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		tc.t.Errorf("GET %s: %v", path, err)
+		t.Errorf("GET %s: %v", url, err)
 		return 0, ""
 	}
-	readAll(tc.t, resp)
+	readAll(t, resp)
 	return resp.StatusCode, resp.Header.Get("X-Request-Id")
 }
 
@@ -72,7 +73,7 @@ func TestGatewayHerdEchoesEachRequestID(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			var code int
-			if code, got[i] = tc.getWithID(target, ids[i]); code != http.StatusOK {
+			if code, got[i] = getWithID(t, tc.front.URL+target, ids[i]); code != http.StatusOK {
 				t.Errorf("request %s: %d", ids[i], code)
 			}
 		}(i)
@@ -100,7 +101,7 @@ func TestGatewayMintsAndForwardsRequestID(t *testing.T) {
 		t.Fatalf("direct threshold: %d", code)
 	}
 	for i, sent := range []string{"", strings.Repeat("x", 129)} {
-		code, id := tc.getWithID(licenseTarget(i), sent)
+		code, id := getWithID(t, tc.front.URL+licenseTarget(i), sent)
 		if code != http.StatusOK {
 			t.Fatalf("request %d: %d", i, code)
 		}
@@ -132,14 +133,14 @@ func TestGatewayTelemetryReadsChangeNothing(t *testing.T) {
 	tc := newTestCluster(t, 3, Config{NoHedge: true}, nil)
 	ids := []string{"tel-0", "tel-1", "tel-2", "tel-3"}
 	for i, id := range ids {
-		if code, _ := tc.getWithID(licenseTarget(i), id); code != http.StatusOK {
+		if code, _ := getWithID(t, tc.front.URL+licenseTarget(i), id); code != http.StatusOK {
 			t.Fatalf("keyed GET %s: %d", id, code)
 		}
 	}
 	ring, _ := tc.gw.flightrec.Snapshot()
 	unchanged := func(after string) {
 		t.Helper()
-		if v := tc.gw.requestsC.Value(); v != uint64(len(ids)) {
+		if v := tc.gw.requests.Value(); v != uint64(len(ids)) {
 			t.Errorf("after %s: gateway_requests_total = %d, want %d", after, v, len(ids))
 		}
 		if now, _ := tc.gw.flightrec.Snapshot(); !reflect.DeepEqual(now, ring) {
@@ -183,4 +184,60 @@ func TestGatewayTelemetryReadsChangeNothing(t *testing.T) {
 		t.Error("/v1/slo was not proxied to a backend")
 	}
 	unchanged("/v1/slo")
+}
+
+// healthzRequests reads the requests count of a daemon's /v1/healthz,
+// a field the gateway's and the server's answers share.
+func healthzRequests(t *testing.T, base string) uint64 {
+	t.Helper()
+	code, body := getJSON(t, base+"/v1/healthz")
+	var h struct {
+		Requests uint64 `json:"requests"`
+	}
+	if err := json.Unmarshal(body, &h); code != http.StatusOK || err != nil {
+		t.Fatalf("%s/v1/healthz: %d %v", base, code, err)
+	}
+	return h.Requests
+}
+
+// TestTelemetryReadsLeaveHealthzUnchanged: in the gateway and in a
+// backend alike, five reads each of the self-observed routes are
+// answered without an X-Request-Id and leave healthz's requests where
+// it was, while /v1/healthz and /v1/license are counted and echo or mint
+// an ID. The gateway's healthz requests is gateway_requests_total.
+func TestTelemetryReadsLeaveHealthzUnchanged(t *testing.T) {
+	tc := newTestCluster(t, 1, Config{NoHedge: true}, nil)
+	for _, d := range []struct{ name, base string }{
+		{"gateway", tc.front.URL},
+		{"backend", tc.backends[0].url},
+	} {
+		before := healthzRequests(t, d.base)
+		for _, path := range []string{"/v1/healthz", licenseTarget(1)} {
+			if _, got := getWithID(t, d.base+path, "sent-1"); got != "sent-1" {
+				t.Errorf("%s %s under sent-1 answered under %q", d.name, path, got)
+			}
+			if _, got := getWithID(t, d.base+path, ""); got == "" {
+				t.Errorf("%s %s with no ID answered under %q, want a minted one", d.name, path, got)
+			}
+		}
+		counted := healthzRequests(t, d.base)
+		if counted != before+5 {
+			t.Errorf("%s healthz requests %d -> %d across four counted requests and a healthz read, want +5",
+				d.name, before, counted)
+		}
+		for _, path := range []string{"/metrics", "/v1/metrics", "/v1/traces", "/v1/flightrec", "/v1/slo"} {
+			for i := range 5 {
+				if _, got := getWithID(t, d.base+path, ""); got != "" {
+					t.Errorf("%s %s read %d answered under X-Request-Id %q", d.name, path, i, got)
+				}
+			}
+		}
+		if after := healthzRequests(t, d.base); after != counted+1 {
+			t.Errorf("%s healthz requests %d -> %d across 25 telemetry reads, want only the healthz read counted",
+				d.name, counted, after)
+		}
+	}
+	if hz, total := healthzRequests(t, tc.front.URL), tc.gw.requests.Value(); hz != total {
+		t.Errorf("gateway healthz requests = %d, gateway_requests_total = %d", hz, total)
+	}
 }

@@ -13,8 +13,9 @@ type Counter struct {
 	v atomic.Uint64
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+// Inc adds one and returns the new count, so an admission counter can
+// also number what it admits.
+func (c *Counter) Inc() uint64 { return c.v.Add(1) }
 
 // Add adds n.
 func (c *Counter) Add(n uint64) { c.v.Add(n) }

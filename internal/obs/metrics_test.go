@@ -202,6 +202,39 @@ func TestCounterGaugeConcurrent(t *testing.T) {
 	}
 }
 
+// TestCounterIncNumbersEachIncrement: Inc returns the new count, so
+// concurrent callers each get a distinct number and together get every
+// number from 1 to the total once — what lets an admission counter also
+// mint its request IDs.
+func TestCounterIncNumbersEachIncrement(t *testing.T) {
+	var c Counter
+	const workers, per = 8, 500
+	got := make([][]uint64, workers)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				got[w] = append(got[w], c.Inc())
+			}
+		}(w)
+	}
+	wg.Wait()
+	seen := make([]bool, workers*per+1)
+	for _, vs := range got {
+		for _, v := range vs {
+			if v == 0 || v > workers*per || seen[v] {
+				t.Fatalf("Inc returned %d twice or out of range", v)
+			}
+			seen[v] = true
+		}
+	}
+	if c.Value() != workers*per {
+		t.Errorf("counter = %d, want %d", c.Value(), workers*per)
+	}
+}
+
 func TestRegistryCoalescesAndDetaches(t *testing.T) {
 	r := NewRegistry()
 	a := r.Counter("x_total", "x", L("k", "v"))

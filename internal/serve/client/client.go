@@ -106,12 +106,6 @@ type Options struct {
 
 	// JitterSeed seeds the default jitter stream when Jitter is nil.
 	JitterSeed uint64
-
-	// Registry, when non-nil, gets the client's retry/breaker instruments
-	// registered into it (client_attempts_total, client_retries_total,
-	// client_failures_total, client_breaker_opens_total,
-	// client_breaker_fastfails_total, client_breaker_state).
-	Registry *obs.Registry
 }
 
 // defaultHTTPClient is the shared fallback transport: overall and dial
@@ -226,26 +220,7 @@ func NewWithOptions(base string, opts Options) (*Client, error) {
 	if c.jitter == nil {
 		c.jitter = fault.Stream(opts.JitterSeed)
 	}
-	if opts.Registry != nil {
-		registerMetrics(opts.Registry, c)
-	}
 	return c, nil
-}
-
-// registerMetrics exposes the client's counters as read-at-scrape metrics.
-func registerMetrics(reg *obs.Registry, c *Client) {
-	reg.Func("client_attempts_total", "HTTP attempts issued, retries included", obs.KindCounter,
-		func() float64 { return float64(c.attempts.Value()) })
-	reg.Func("client_retries_total", "attempts beyond the first, per call", obs.KindCounter,
-		func() float64 { return float64(c.retries.Value()) })
-	reg.Func("client_failures_total", "retryable attempt failures (transport errors and 5xx/429)", obs.KindCounter,
-		func() float64 { return float64(c.failures.Value()) })
-	reg.Func("client_breaker_opens_total", "times the circuit breaker opened", obs.KindCounter,
-		func() float64 { return float64(c.breakerOpens.Value()) })
-	reg.Func("client_breaker_fastfails_total", "calls rejected while the breaker was open", obs.KindCounter,
-		func() float64 { return float64(c.fastFails.Value()) })
-	reg.Func("client_breaker_state", "0 closed, 1 open, 2 half-open", obs.KindGauge,
-		func() float64 { c.mu.Lock(); defer c.mu.Unlock(); return float64(c.brState) })
 }
 
 // RetryStats is a point-in-time accounting of the client's resilience

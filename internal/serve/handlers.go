@@ -738,9 +738,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Status:        "ok",
 		UptimeSeconds: s.clock().Sub(s.start).Seconds(),
 		Requests:      s.requests.Load(),
-		InFlight:      int(s.inFlight.Load()),
 		Decisions:     s.decisions.Stats(),
 		Snapshots:     s.snapshots.Stats(),
+	}
+	if s.met != nil {
+		resp.InFlight = int(s.met.inFlight.Value())
 	}
 	// Under a mounted fault plan, health reports the injection totals and
 	// flips to "degraded" once any response has been served cache-bypassed

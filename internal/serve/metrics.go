@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"time"
+
 	"repro/internal/fault"
 	"repro/internal/obs"
 )
@@ -47,7 +49,8 @@ func RouteOf(path string) string {
 // ring it reports, and a /v1/flightrec dump that recorded itself would
 // push real captures out of the ring it is dumping — so reading the
 // telemetry never changes it. The server's and the gateway's middleware
-// both pass a request through unobserved by SelfObserved(RouteOf(path)).
+// both pass such a request through uncounted, unrecorded and without a
+// request ID, by SelfObserved(RouteOf(path)).
 func SelfObserved(route string) bool {
 	switch route {
 	case "/metrics", "/v1/metrics", "/v1/traces", "/v1/slo", "/v1/flightrec":
@@ -274,24 +277,40 @@ func registerCacheMetrics(reg *obs.Registry, name string, stats func() CacheStat
 		func() float64 { return float64(stats().Evictions) }, l)
 }
 
-// requestDone records one answered request. route must be a RouteOf
-// result; self-observed routes never reach here. traceID feeds exemplar
-// collection when the route's histogram is armed.
-func (m *serverMetrics) requestDone(route string, code int, durNs int64, traceID string) {
+// admit records an observed request's semaphore wait, counts it in
+// flight, and returns its route's instruments — looked up once, for done
+// to record the answer on. A nil receiver (recording off) returns nil.
+// route must be a RouteOf result that is not SelfObserved.
+func (m *serverMetrics) admit(route string, wait time.Duration) *routeInstruments {
 	if m == nil {
-		return
+		return nil
 	}
-	ri, ok := m.routes[route]
-	if !ok {
-		return
+	m.semWait.ObserveDuration(wait)
+	m.inFlight.Add(1)
+	return m.routes[route]
+}
+
+// done records one answered request on the instruments admit returned:
+// the in-flight release, a recovered panic, the status class, and the
+// latency with its exemplar. It returns the request's one slow verdict —
+// latency over the route's objective — which counts in
+// slo_slow_requests_total here and marks the record's "slow" anomaly.
+// A nil ri (recording off, or a self-observed route) records nothing
+// and is never slow.
+func (m *serverMetrics) done(ri *routeInstruments, code int, dur time.Duration, traceID string, panicked bool) bool {
+	if ri == nil {
+		return false
+	}
+	m.inFlight.Add(-1)
+	if panicked {
+		m.panics.Inc()
 	}
 	ri.classes[classIdx(code)].Inc()
-	if durNs < 0 {
-		durNs = 0
-	}
-	ri.latency.Observe(uint64(durNs))
-	ri.exemplars.Observe(uint64(durNs), traceID)
-	if ri.slowNs > 0 && uint64(durNs) > ri.slowNs {
+	ri.latency.Observe(uint64(dur))
+	ri.exemplars.Observe(uint64(dur), traceID)
+	slow := ri.slowNs > 0 && uint64(dur) > ri.slowNs
+	if slow {
 		ri.slow.Inc()
 	}
+	return slow
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"log/slog"
 	"net/http"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -54,28 +53,43 @@ func (w *StatusWriter) Write(b []byte) (int, error) {
 // connection's goroutine; no goroutine or response buffer is added per
 // request.
 //
+// Each request is accounted once. The clock is read at arrival, when
+// the semaphore admits the request (ending its wait and starting its
+// latency), and when the handler returns. An observed request is counted
+// at arrival in requests (healthz's requests, and the number of a minted
+// ID) and in flight in the http_in_flight gauge (healthz's inFlight).
+// One completion, on return or on a recovered panic, gives the metrics,
+// the record and the log line the same status and latency: 500 for a
+// panic before the handler wrote, else the status it wrote.
+//
 // Each observed request has one record, opened here and carried in one
 // context value: the layers below add its decision key, WAL outcome and
 // child spans, and the middleware seals it with the status, latency,
-// cache state, fault and degraded mark — timed by the same two clock
-// reads as the request's metrics and log line. The middleware derives
-// the request's context once — deadline, record, and the degraded mark
-// of a poisoned arrival — and attaches it with a single WithContext.
+// cache state, fault and degraded mark. The middleware derives the
+// request's context once — deadline, record, and the degraded mark of a
+// poisoned arrival — and attaches it with a single WithContext.
 //
 // An inbound X-Request-Id header is echoed (and used as the trace ID) so
 // client-side and server-side traces correlate; otherwise, or when it is
 // longer than maxRequestIDBytes, the request is assigned the next value
 // of the admission counter. The observability endpoints themselves
-// (/metrics, /v1/metrics, /v1/traces, /v1/slo, /v1/flightrec) pass
-// through unrecorded, which is what keeps a scrape from perturbing the
-// telemetry it reads. /v1/healthz is metered like any route but gets no
-// record: a gateway probes every member each second, and recording the
-// probes would push every real request out of the recorder's ring.
+// (/metrics, /v1/metrics, /v1/traces, /v1/slo, /v1/flightrec;
+// SelfObserved) are neither counted nor recorded and get no request ID,
+// the gateway's rule too, which is what keeps a scrape from perturbing
+// the telemetry it reads; they still take a semaphore slot, the panic
+// guard and a log line. /v1/healthz is metered like any route but gets
+// no record: a gateway probes every member each second, and recording
+// the probes would push every real request out of the recorder's ring.
 func (s *Server) middleware(inner http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		idv := RequestID(r.Header, "", s.requests.Add(1))
-		id := idv[0]
-		w.Header()["X-Request-Id"] = idv
+		route := RouteOf(r.URL.Path)
+		observed := !SelfObserved(route)
+		var id string
+		if observed {
+			idv := RequestID(r.Header, "", s.requests.Add(1))
+			id = idv[0]
+			w.Header()["X-Request-Id"] = idv
+		}
 
 		// /v1/watch is a long-lived event stream and takes a different
 		// path through the stack: no deadline (a stream lives until its
@@ -93,10 +107,7 @@ func (s *Server) middleware(inner http.Handler) http.Handler {
 			return
 		}
 
-		route := RouteOf(r.URL.Path)
-		observed := !SelfObserved(route)
-
-		semStart := s.clock()
+		arrived := s.clock()
 		select {
 		case s.sem <- struct{}{}:
 		case <-r.Context().Done():
@@ -104,53 +115,48 @@ func (s *Server) middleware(inner http.Handler) http.Handler {
 				ErrorResponse{Error: "server at capacity; client gave up waiting"})
 			return
 		}
-		if observed && s.met != nil {
-			s.met.semWait.ObserveDuration(s.clock().Sub(semStart))
-			s.met.inFlight.Add(1)
-		}
-		s.inFlight.Add(1)
-		defer func() {
-			s.inFlight.Add(-1)
-			if observed && s.met != nil {
-				s.met.inFlight.Add(-1)
-			}
-			<-s.sem
-		}()
+		defer func() { <-s.sem }()
+		start := s.clock()
 
 		ctx := r.Context()
-		start := s.clock()
+		var ri *routeInstruments
 		var rec *obs.Record
-		if observed && route != "/v1/healthz" {
-			ctx, rec = s.flightrec.Open(ctx, s.clock, start, r.Method, route, id)
+		if observed {
+			ri = s.met.admit(route, start.Sub(arrived))
+			if route != "/v1/healthz" {
+				ctx, rec = s.flightrec.Open(ctx, s.clock, start, r.Method, route, id)
+			}
 		}
 		sw := &StatusWriter{ResponseWriter: w}
 		var fault string
 		var degraded bool
 		defer func() {
-			dur := s.clock().Sub(start)
+			v := recover()
+			panicked := v != nil
+			if panicked && !sw.wrote {
+				WriteJSON(sw, http.StatusInternalServerError, ErrorResponse{Error: "internal error"})
+			}
+			dur := max(s.clock().Sub(start), 0)
+			slow := s.met.done(ri, sw.Code, dur, id, panicked)
 			cache := sw.Header().Get("X-Cache")
-			if v := recover(); v != nil {
-				if !sw.wrote {
-					WriteJSON(sw, http.StatusInternalServerError,
-						ErrorResponse{Error: "internal error"})
+			if rec != nil {
+				var anomalies []string
+				if panicked {
+					anomalies = append(anomalies, "panic")
 				}
-				if observed && s.met != nil {
-					s.met.panics.Inc()
-					s.met.requestDone(route, http.StatusInternalServerError, int64(dur), id)
+				if sw.Code >= 500 {
+					anomalies = append(anomalies, "5xx")
 				}
-				s.seal(rec, route, sw.Code, dur, cache, fault, degraded, true)
-				if s.logger != nil {
-					s.logger.LogAttrs(ctx, slog.LevelError, "panic",
-						slog.String("req", id), slog.String("route", route),
-						slog.String("method", r.Method), slog.Any("value", v))
+				if slow {
+					anomalies = append(anomalies, "slow")
 				}
-				return
+				if degraded {
+					anomalies = append(anomalies, "degraded")
+				}
+				rec.Seal(sw.Code, uint64(dur), cache, fault, degraded, anomalies)
 			}
-			if observed && s.met != nil {
-				s.met.requestDone(route, sw.Code, int64(dur), id)
-			}
-			s.seal(rec, route, sw.Code, dur, cache, fault, degraded, false)
 			if s.logger != nil {
+				level, msg := slog.LevelInfo, "request"
 				attrs := []slog.Attr{
 					slog.String("req", id),
 					slog.String("method", r.Method),
@@ -162,7 +168,11 @@ func (s *Server) middleware(inner http.Handler) http.Handler {
 				if cache != "" {
 					attrs = append(attrs, slog.String("cache", cache))
 				}
-				s.logger.LogAttrs(ctx, slog.LevelInfo, "request", attrs...)
+				if panicked {
+					level, msg = slog.LevelError, "panic"
+					attrs = append(attrs, slog.Any("value", v))
+				}
+				s.logger.LogAttrs(ctx, level, msg, attrs...)
 			}
 		}()
 		// Fault injection sits inside the full bookkeeping stack, so an
@@ -181,46 +191,4 @@ func (s *Server) middleware(inner http.Handler) http.Handler {
 		defer cancel()
 		inner.ServeHTTP(sw, r.WithContext(ctx))
 	})
-}
-
-// seal completes one request's record with the response-side facts and
-// the anomaly verdicts: a recovered panic, a server-error status,
-// latency over the route's SLO objective, or a degraded (cache-bypassed)
-// response. Any anomaly — these or one added below the middleware, like
-// a WAL regime transition — makes the recorder pin the capture with its
-// surrounding context. A nil record (self-observed route, or recorder
-// disabled) is a no-op.
-func (s *Server) seal(rec *obs.Record, route string, code int, dur time.Duration, cache, fault string, degraded, panicked bool) {
-	if rec == nil {
-		return
-	}
-	if dur < 0 {
-		dur = 0
-	}
-	var anomalies []string
-	if panicked {
-		anomalies = append(anomalies, "panic")
-	}
-	if code >= 500 {
-		anomalies = append(anomalies, "5xx")
-	}
-	if ns := s.slowNsFor(route); ns > 0 && uint64(dur) > ns {
-		anomalies = append(anomalies, "slow")
-	}
-	if degraded {
-		anomalies = append(anomalies, "degraded")
-	}
-	rec.Seal(code, uint64(dur), cache, fault, degraded, anomalies)
-}
-
-// slowNsFor returns the route's latency objective in nanoseconds, 0 when
-// the route has none (or no SLO profile is mounted).
-func (s *Server) slowNsFor(route string) uint64 {
-	if s.met == nil {
-		return 0
-	}
-	if ri, ok := s.met.routes[route]; ok {
-		return ri.slowNs
-	}
-	return 0
 }

@@ -185,7 +185,9 @@ type Server struct {
 	// behind it: lastRegime is the threshold of the newest committed
 	// decision (haveRegime once there is one), seeded by warm start from
 	// the newest recovered decision record, so regime events publish in
-	// log order and a transition across a restart is still one.
+	// log order and a transition across a restart is still one. A
+	// compaction holds it too, from collecting the live set through the
+	// snapshot write (maybeSnapshot).
 	walMu      sync.Mutex
 	lastRegime float64
 	haveRegime bool
@@ -195,9 +197,10 @@ type Server struct {
 	hub         *hub
 	watchEvents atomic.Uint64
 
+	// sem is the in-flight semaphore; requests counts observed requests
+	// at arrival, numbers their minted IDs, and is healthz's requests.
 	sem      chan struct{}
-	requests atomic.Uint64 // request ids / total admitted
-	inFlight atomic.Int64
+	requests atomic.Uint64
 
 	decisions *decisionLRU
 	snapshots *LRU[string, *threshold.Snapshot]

@@ -250,6 +250,13 @@ func (s *Server) walCommit(ctx context.Context, skey string, a *fillArgs, d *cac
 // already running one. The live set is collected from the decision LRU
 // in recency order; the log sorts it by key before writing, so the
 // snapshot bytes are independent of both recency and map order.
+//
+// walMu is held from the collection through the snapshot write. The
+// snapshot replaces every older segment, so a decision Put after the
+// collection but appended before the rotation would otherwise be in
+// neither the snapshot nor a surviving segment: answered, yet lost. A
+// commit therefore waits for the LRU walk as well as for the write. The
+// lock order is walMu, then the LRU's lock, then the log's.
 func (s *Server) maybeSnapshot() {
 	if !s.walSnapBusy.CompareAndSwap(false, true) {
 		return
@@ -257,6 +264,8 @@ func (s *Server) maybeSnapshot() {
 	defer s.walSnapBusy.Store(false)
 	s.walSinceSnap.Store(0)
 
+	s.walMu.Lock()
+	defer s.walMu.Unlock()
 	var a fillArgs
 	records := make([]wal.Record, 0, s.decisions.Len())
 	s.decisions.forEach(func(key string, d *cachedDecision) {

@@ -721,3 +721,61 @@ func TestWALHealthAndMetricsExposure(t *testing.T) {
 		t.Error("logless healthz reports a wal block")
 	}
 }
+
+// TestCompactionKeepsEveryAnsweredDecision races cold decisions against
+// snapshot compaction: 4 callers each ask 20 distinct cold queries of a
+// server that compacts every 64 commits, then the log is closed and
+// reopened, and every decision the server answered — every key in its
+// decision cache, which holds all 80 — must be in the recovered log.
+// A compaction replaces the older segments with the LRU's live set, so
+// a decision Put after that set is collected but appended before the
+// rotation was in neither; holding walMu across both closes the window.
+// The loss is a narrow interleaving, so the test runs many trials.
+func TestCompactionKeepsEveryAnsweredDecision(t *testing.T) {
+	const trials, callers, perCaller = 400, 4, 20
+	for trial := range trials {
+		dir := t.TempDir()
+		s, l := newWALServer(t, dir, func(cfg *Config) { cfg.SnapshotEvery = 64 })
+		var wg sync.WaitGroup
+		for c := range callers {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for i := range perCaller {
+					target := fmt.Sprintf("/v1/license?ctp=%d&dest=india&endUse=trial%d", 500+c*perCaller+i, trial)
+					if rec := do(t, s.Handler(), "GET", target, ""); rec.Code != http.StatusOK {
+						t.Errorf("%s: %d", target, rec.Code)
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+		if err := l.Close(); err != nil {
+			t.Fatalf("close log: %v", err)
+		}
+		reopened, err := wal.Open(wal.Options{Dir: dir})
+		if err != nil {
+			t.Fatalf("reopen log: %v", err)
+		}
+		logged := map[string]bool{}
+		for _, r := range reopened.Recovery().Records {
+			logged[r.Key] = true
+		}
+		if err := reopened.Close(); err != nil {
+			t.Fatalf("close reopened log: %v", err)
+		}
+		var missing int
+		s.decisions.forEach(func(key string, _ *cachedDecision) {
+			if !logged[key] {
+				missing++
+			}
+		})
+		if n := s.decisions.Len(); n != callers*perCaller {
+			t.Fatalf("trial %d: the cache holds %d decisions, want all %d answered", trial, n, callers*perCaller)
+		}
+		if missing > 0 {
+			t.Fatalf("trial %d: %d answered decisions missing from the recovered log (compactions %d)",
+				trial, missing, l.Stats().Compactions)
+		}
+	}
+}
