@@ -43,7 +43,7 @@ go test -shuffle=on ./... > /dev/null
 echo "== parpool barrier/reduction under -race, repeated =="
 go test -race -count=2 ./internal/parpool/
 
-echo "== request deadline, ctx-aware singleflight, parallel warm start, gateway fetch goroutines, request records, gateway request IDs, the regime detector and watch drain under -race, repeated =="
+echo "== request deadline, ctx-aware singleflight, parallel warm start, gateway fetch goroutines, request records, gateway request IDs, the regime detector, the log's commit order and release, and watch drain under -race, repeated =="
 # The waiter that leaves its flight at ctx.Done(), the coalesced herd,
 # the cut wait answered 503, the overrunning fill that keeps its
 # semaphore slot, the warm start that recomputes on a transient worker
@@ -56,11 +56,13 @@ echo "== request deadline, ctx-aware singleflight, parallel warm start, gateway 
 # /v1/flightrec read from one ring), a held gateway herd answering
 # each request under its own ID, the one regime detector (seeded across
 # a restart; concurrent commits whose regime events chain and name
-# exactly the pinned transition captures), and a Serve drain that ends
-# open watch streams, server-side and through the client, each run ten
-# times under the race detector.
+# exactly the pinned transition captures), the decision log's ordering
+# and release (a second GET held until the leader's record is appended;
+# Recovery() and /v1/healthz read while concurrent commits compact), and
+# a Serve drain that ends open watch streams, server-side and through the
+# client, each run ten times under the race detector.
 go test -race -count=10 \
-	-run '^(TestWaiterLeavesAtContextEnd|TestCoalescedFillsAreByteIdentical|TestCoalescedWaitEndsAtDeadline|TestMaxInFlightBoundsOverrunningFills|TestWarmStartMatchesFullReplay|TestWarmStartJudgesKeyByNewestRecord|TestLauncherReusesOneParkedFetcher|TestLauncherHedgesOnReusedFetchers|TestGatewayHedgeByteIdentity|TestGatewayHerdSingleFill|TestGatewayConcurrentColdBatches|TestRecordConcurrentSpans|TestSpanDoubleEndAndLateChild|TestBatchRecordAcrossWorkers|TestPinnedRecordKeepsSpansPastRingWrap|TestTracesAndFlightRecReadOneRing|TestGatewayHerdEchoesEachRequestID|TestRegimeTransitionAcrossRestart|TestRegimeEventsMatchPins|TestWatchStreamEndsOnHubClose|TestWatchEndsCleanlyOnServerDrain)$' \
+	-run '^(TestWaiterLeavesAtContextEnd|TestCoalescedFillsAreByteIdentical|TestCoalescedWaitEndsAtDeadline|TestMaxInFlightBoundsOverrunningFills|TestWarmStartMatchesFullReplay|TestWarmStartJudgesKeyByNewestRecord|TestLauncherReusesOneParkedFetcher|TestLauncherHedgesOnReusedFetchers|TestGatewayHedgeByteIdentity|TestGatewayHerdSingleFill|TestGatewayConcurrentColdBatches|TestRecordConcurrentSpans|TestSpanDoubleEndAndLateChild|TestBatchRecordAcrossWorkers|TestPinnedRecordKeepsSpansPastRingWrap|TestTracesAndFlightRecReadOneRing|TestGatewayHerdEchoesEachRequestID|TestRegimeTransitionAcrossRestart|TestRegimeEventsMatchPins|TestAnswerFollowsLogRecord|TestRecoveryReadableDuringCompaction|TestWatchStreamEndsOnHubClose|TestWatchEndsCleanlyOnServerDrain)$' \
 	./internal/singleflight/ ./internal/obs/ ./internal/serve/ ./internal/serve/client/ ./internal/gateway/
 
 echo "== bench smoke (one iteration of every benchmark) =="
@@ -203,13 +205,14 @@ done
 echo "== hpcvet ./internal/wal (durability gates) =="
 go run ./cmd/hpcvet ./internal/wal
 
-echo "== wal fuzz smoke (record codec + segment replay) =="
+echo "== wal fuzz smoke (record codec + segment replay + v1/v2 snapshot images) =="
 # A short native-fuzz burst per target: enough to catch a fresh framing
 # or recovery panic without the wall-clock cost of a real campaign. The
 # committed corpora under internal/wal/testdata/fuzz replay in the
 # ordinary `go test` runs above regardless.
 go test -run '^$' -fuzz 'FuzzWALRecord$' -fuzztime 3s ./internal/wal > /dev/null
 go test -run '^$' -fuzz 'FuzzSegmentReplay$' -fuzztime 3s ./internal/wal > /dev/null
+go test -run '^$' -fuzz 'FuzzSnapshotReplay$' -fuzztime 3s ./internal/wal > /dev/null
 
 echo "== decision-key fuzz smoke (the scanner warm start parses keys with) =="
 go test -run '^$' -fuzz 'FuzzDecisionKeyRoundTrip$' -fuzztime 3s ./internal/serve > /dev/null
@@ -227,15 +230,17 @@ go test -run '^$' -fuzz 'FuzzCachedDecisionBytes$' -fuzztime 3s ./internal/serve
 echo "== watch-stream fuzz smoke (the client's SSE reader, against encoding/json) =="
 go test -run '^$' -fuzz 'FuzzWatchStream$' -fuzztime 3s ./internal/serve/client > /dev/null
 
-echo "== wal: kill -9 mid-traffic, restart, byte-identical warm answers =="
+echo "== wal: kill -9 mid-traffic, restart over a snapshot, byte-identical warm answers =="
 # The durability contract, end to end against the real binary: decide a
-# set of queries under -fsync always, kill the daemon without ceremony,
-# restart over the same -data-dir, and require every first answer to be
-# a warm-start cache hit byte-identical to the pre-crash response.
+# set of queries under -fsync always, compacting every second commit, so
+# the five queries leave a v2 snapshot (HPCSNAP2) of the first four plus
+# a one-record tail; kill the daemon without ceremony, restart over the
+# same -data-dir, and require every first answer to be a warm-start
+# cache hit byte-identical to the pre-crash response.
 waldir="$scrapedir/waldata"
 walpid=""
 trap 'kill $scrapepid $chaospid $loadpid $walpid 2>/dev/null || true; rm -rf "$scrapedir"' EXIT
-"$scrapedir/hpcexportd" -addr localhost:18098 -quiet -data-dir "$waldir" -fsync always &
+"$scrapedir/hpcexportd" -addr localhost:18098 -quiet -data-dir "$waldir" -fsync always -snapshot-every 2 &
 walpid=$!
 up=0
 for _ in $(seq 1 50); do
@@ -256,7 +261,12 @@ done
 kill -9 "$walpid"
 wait "$walpid" 2> /dev/null || true
 walpid=""
-"$scrapedir/hpcexportd" -addr localhost:18098 -quiet -data-dir "$waldir" -fsync always &
+snaps=$(ls "$waldir"/snap-*.snap 2> /dev/null | wc -l)
+if [ "$snaps" != 1 ] || [ "$(head -c 8 "$waldir"/snap-*.snap)" != HPCSNAP2 ]; then
+	echo "ci.sh: five commits at -snapshot-every 2 left $snaps snapshots, want one HPCSNAP2" >&2
+	exit 1
+fi
+"$scrapedir/hpcexportd" -addr localhost:18098 -quiet -data-dir "$waldir" -fsync always -snapshot-every 2 &
 walpid=$!
 up=0
 for _ in $(seq 1 50); do
@@ -455,5 +465,6 @@ b3pid=""
 #   go test -fuzz=FuzzSLOProfileRoundTrip -fuzztime=30s ./internal/slo
 #   go test -fuzz=FuzzWALRecord -fuzztime=30s ./internal/wal
 #   go test -fuzz=FuzzSegmentReplay -fuzztime=30s ./internal/wal
+#   go test -fuzz=FuzzSnapshotReplay -fuzztime=30s ./internal/wal
 
 echo "ci.sh: all checks passed"

@@ -100,8 +100,9 @@ func BenchmarkLicenseHotPath(b *testing.B) {
 }
 
 // TestParseDecisionKeyZeroAllocs pins the key scanner allocation-free:
-// it runs once per replayed record at warm start and once per live entry
-// at every snapshot compaction.
+// it runs once per key in the warm-start window. Compaction no longer
+// parses keys; it reads only each key's threshold field, with
+// keyThreshold, which is pinned allocation-free too.
 func TestParseDecisionKeyZeroAllocs(t *testing.T) {
 	key := "Cray C916\x1f1500\x1findia\x1fmodeling\x1f2000"
 	var a fillArgs
@@ -112,5 +113,13 @@ func TestParseDecisionKeyZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("parseDecisionKey: %v allocs per key, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		if th, ok := keyThreshold(key); !ok || th != 2000 {
+			t.Fatalf("keyThreshold(%q) = %v, %v", key, th, ok)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("keyThreshold: %v allocs per key, want 0", allocs)
 	}
 }

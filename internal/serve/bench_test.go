@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -150,3 +151,31 @@ func BenchmarkFirstRequestWarmStart(b *testing.B) { benchFirstRequest(b, true) }
 // BenchmarkFirstRequestColdStart is the same boot without a log: the
 // first answer pays the full decision computation.
 func BenchmarkFirstRequestColdStart(b *testing.B) { benchFirstRequest(b, false) }
+
+// BenchmarkSnapshotCompaction prices one compaction of a full decision
+// cache, DefaultCacheSize entries, under wal.FsyncNever: the walk that
+// collects the live set, the in-place sort, the snapshot's one buffer,
+// and its file work (rotation, the snapshot's own fsyncs, and removing
+// the segment it replaces). Each op is one maybeSnapshot.
+func BenchmarkSnapshotCompaction(b *testing.B) {
+	s, l := newWALServer(b, b.TempDir(), func(cfg *Config) { cfg.SnapshotEvery = -1 })
+	defer func() { _ = l.Close() }()
+	h := s.Handler()
+	for i := 0; s.decisions.Len() < DefaultCacheSize; i++ {
+		target := fmt.Sprintf("/v1/license?ctp=%d&dest=india&endUse=compact%d", 500+i, i)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("%s: %d", target, rec.Code)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.maybeSnapshot()
+	}
+	b.StopTimer()
+	if got := l.Stats().Compactions; got != uint64(b.N) {
+		b.Fatalf("compactions = %d after %d ops", got, b.N)
+	}
+}

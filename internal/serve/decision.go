@@ -353,7 +353,10 @@ func (s *Server) flightDo(ctx context.Context, key []byte, a *fillArgs) (dec *ca
 // and publish to the LRU. The Put happens before flightDo removes the
 // in-flight call, so any request arriving after the fill completes finds
 // the cache warm — there is no window where neither the flight map nor
-// the cache answers.
+// the cache answers. With a log mounted, walCommit appends the decision
+// and only then Puts it, so the audit record precedes every answer. This
+// sits on the cold path only — warm hits never reach fillDecision — so
+// the log's latency prices cache fills, not the zero-alloc hot path.
 func (s *Server) fillDecision(ctx context.Context, skey string, a *fillArgs) (*cachedDecision, error) {
 	if s.flightBarrier != nil {
 		s.flightBarrier(skey)
@@ -362,11 +365,10 @@ func (s *Server) fillDecision(ctx context.Context, skey string, a *fillArgs) (*c
 	if herr != nil {
 		return nil, herr
 	}
-	s.decisions.Put(skey, d)
-	// The decision is committed: write it through to the audit log. This
-	// sits on the cold path only — warm hits never reach fillDecision —
-	// so the log's latency prices cache fills, not the zero-alloc hot
-	// path.
-	s.walCommit(ctx, skey, a, d)
+	if s.wal == nil {
+		s.decisions.Put(skey, d)
+	} else {
+		s.walCommit(ctx, skey, a, d)
+	}
 	return d, nil
 }

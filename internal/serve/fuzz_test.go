@@ -88,14 +88,17 @@ func splitDecisionKey(key string, a *fillArgs) bool {
 // matches any NaN: the key renders every NaN as "NaN", so a payload
 // cannot survive it.
 func sameArgs(x, y fillArgs) bool {
-	sameFloat := func(p, q units.Mtops) bool {
-		if math.IsNaN(float64(p)) || math.IsNaN(float64(q)) {
-			return math.IsNaN(float64(p)) && math.IsNaN(float64(q))
-		}
-		return math.Float64bits(float64(p)) == math.Float64bits(float64(q))
-	}
 	return x.sysName == y.sysName && x.dest == y.dest && x.endUse == y.endUse &&
-		sameFloat(x.rated, y.rated) && sameFloat(x.th, y.th)
+		sameFloat(float64(x.rated), float64(y.rated)) && sameFloat(float64(x.th), float64(y.th))
+}
+
+// sameFloat reports whether p and q are the same value: bit for bit, or
+// both NaN.
+func sameFloat(p, q float64) bool {
+	if math.IsNaN(p) || math.IsNaN(q) {
+		return math.IsNaN(p) && math.IsNaN(q)
+	}
+	return math.Float64bits(p) == math.Float64bits(q)
 }
 
 // FuzzCachedDecisionBytes holds the decision cache's split to the
@@ -129,7 +132,8 @@ func FuzzCachedDecisionBytes(f *testing.F) {
 // When no string field holds the separator byte, parsing a rendered key
 // gives back exactly the inputs; when one does, the key has more than
 // five fields and parsing fails. Either way the allocation-free scanner
-// agrees with the strings.Split parse it replaced.
+// agrees with the strings.Split parse it replaced, and keyThreshold, which
+// compaction uses, reads back the threshold from any rendered key.
 func FuzzDecisionKeyRoundTrip(f *testing.F) {
 	s, err := New(Config{Clock: testClock})
 	if err != nil {
@@ -156,6 +160,9 @@ func FuzzDecisionKeyRoundTrip(f *testing.F) {
 		ok := parseDecisionKey(key, &got)
 		if refOK := splitDecisionKey(key, &ref); ok != refOK || ok && !sameArgs(got, ref) {
 			t.Fatalf("key %q: scanner (%v, %+v) disagrees with strings.Split (%v, %+v)", key, ok, got, refOK, ref)
+		}
+		if kth, kok := keyThreshold(key); !kok || !sameFloat(kth, th) {
+			t.Fatalf("key %q: keyThreshold = (%v, %v), want %v", key, kth, kok, th)
 		}
 		if strings.IndexByte(sys+dest+endUse, keySep) >= 0 {
 			if ok {

@@ -181,13 +181,13 @@ type Server struct {
 	walSinceSnap  atomic.Uint64
 	walSnapBusy   atomic.Bool
 
-	// walMu is held across each commit's Append and the regime detector
-	// behind it: lastRegime is the threshold of the newest committed
-	// decision (haveRegime once there is one), seeded by warm start from
-	// the newest recovered decision record, so regime events publish in
-	// log order and a transition across a restart is still one. A
-	// compaction holds it too, from collecting the live set through the
-	// snapshot write (maybeSnapshot).
+	// walMu is held across each commit's Append, its cache Put and the
+	// regime detector behind them: lastRegime is the threshold of the
+	// newest committed decision (haveRegime once there is one), seeded by
+	// warm start from the decision record appended last before the
+	// restart, so regime events publish in log order and a transition
+	// across a restart is still one. A compaction holds it too, from
+	// collecting the live set through the snapshot write (maybeSnapshot).
 	walMu      sync.Mutex
 	lastRegime float64
 	haveRegime bool

@@ -94,12 +94,18 @@ type replaySlot struct {
 //
 // A key is judged by its newest record alone: when that record fails to
 // verify, the key is counted as a mismatch and left out, even if an
-// older record of it would verify. The newest decision record also
+// older record of it would verify. The decision record appended last
+// (Recovery.Last: the tail's newest, else the one a v2 snapshot carries)
 // seeds the regime detector, so the first commit under another
-// threshold after a restart is a transition. Returns the number of
-// admitted entries.
+// threshold after a restart is a transition and one under the same
+// threshold is not. A v1 snapshot carries none; over an empty tail the
+// seed is then the newest record, its last key in sort order. Returns
+// the number of admitted entries.
 func (s *Server) warmStart() int {
 	rec := s.wal.Recovery()
+	if rec.Last.Kind == wal.KindDecision {
+		s.lastRegime, s.haveRegime = rec.Last.Regime, true
+	}
 	capacity := s.decisions.capacity
 	window := make([]replaySlot, 0, min(capacity, len(rec.Records)))
 	seen := make(map[string]struct{}, cap(window))
@@ -188,13 +194,16 @@ func (s *Server) logWALSkip(key, reason string) {
 		slog.String("reason", reason), slog.String("key", key))
 }
 
-// walCommit writes one freshly cached decision through to the log and
-// triggers snapshot compaction when enough commits have accumulated.
+// walCommit logs one fresh decision and then caches it: Append and Put
+// both run under walMu, so no answer for the key, a cache hit or a
+// coalesced one, leaves before its record is appended, and a compaction
+// never collects the live set between a key's append and its Put.
 // Append failures are counted and logged, never surfaced to the request:
-// the decision has already been served and cached, and the audit trail
+// the decision is still cached and answered, and the audit trail
 // degrades explicitly (wal_append_errors_total) rather than taking the
 // service down with it. The request's flight-recorder record gets the
-// commit outcome.
+// commit outcome. Snapshot compaction is triggered when enough commits
+// have accumulated.
 //
 // This is the one regime-transition detector. A committed decision under
 // a threshold other than the previous committed decision's publishes a
@@ -204,9 +213,6 @@ func (s *Server) logWALSkip(key, reason string) {
 // context. walMu is held across Append, which serializes on the log's
 // own mutex anyway, so the comparison and the events follow log order.
 func (s *Server) walCommit(ctx context.Context, skey string, a *fillArgs, d *cachedDecision) {
-	if s.wal == nil {
-		return
-	}
 	rec := obs.RecordFrom(ctx)
 	th := float64(a.th)
 	s.walMu.Lock()
@@ -216,6 +222,7 @@ func (s *Server) walCommit(ctx context.Context, skey string, a *fillArgs, d *cac
 		Regime: th,
 		Hash:   d.hash,
 	})
+	s.decisions.Put(skey, d)
 	prev, transition := s.lastRegime, false
 	if err == nil {
 		transition = s.haveRegime && th != prev
@@ -248,15 +255,16 @@ func (s *Server) walCommit(ctx context.Context, skey string, a *fillArgs, d *cac
 
 // maybeSnapshot runs one snapshot compaction if no other request is
 // already running one. The live set is collected from the decision LRU
-// in recency order; the log sorts it by key before writing, so the
+// in recency order, each record's regime read from its key's threshold
+// field; the log sorts the set by key in place before writing, so the
 // snapshot bytes are independent of both recency and map order.
 //
 // walMu is held from the collection through the snapshot write. The
-// snapshot replaces every older segment, so a decision Put after the
-// collection but appended before the rotation would otherwise be in
-// neither the snapshot nor a surviving segment: answered, yet lost. A
-// commit therefore waits for the LRU walk as well as for the write. The
-// lock order is walMu, then the LRU's lock, then the log's.
+// snapshot replaces every older segment, so a decision appended after
+// the collection but before the rotation would otherwise be in neither
+// the snapshot nor a surviving segment: answered, yet lost. A commit
+// therefore waits for the LRU walk as well as for the write. The lock
+// order is walMu, then the LRU's lock, then the log's.
 func (s *Server) maybeSnapshot() {
 	if !s.walSnapBusy.CompareAndSwap(false, true) {
 		return
@@ -266,16 +274,16 @@ func (s *Server) maybeSnapshot() {
 
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
-	var a fillArgs
 	records := make([]wal.Record, 0, s.decisions.Len())
 	s.decisions.forEach(func(key string, d *cachedDecision) {
-		if !parseDecisionKey(key, &a) {
+		th, ok := keyThreshold(key)
+		if !ok {
 			return
 		}
 		records = append(records, wal.Record{
 			Kind:   wal.KindDecision,
 			Key:    key,
-			Regime: float64(a.th),
+			Regime: th,
 			Hash:   d.hash,
 		})
 	})
@@ -286,6 +294,17 @@ func (s *Server) maybeSnapshot() {
 				slog.Any("err", err))
 		}
 	}
+}
+
+// keyThreshold reads the threshold, the last field of a canonical
+// decision key, without splitting the fields before it.
+func keyThreshold(key string) (float64, bool) {
+	i := strings.LastIndexByte(key, keySep)
+	if i < 0 {
+		return 0, false
+	}
+	th, err := strconv.ParseFloat(key[i+1:], 64)
+	return th, err == nil
 }
 
 // walHealth summarizes the log for /v1/healthz.

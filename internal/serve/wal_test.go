@@ -8,6 +8,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
@@ -183,10 +185,9 @@ func cacheEntries(l *decisionLRU) []cacheEntry {
 	return out
 }
 
-// parkedPoolWorkers counts the parpool worker goroutines parked waiting
-// for work. A pool that is never closed leaves its workers parked; Close
-// joins every worker on its way out, so a closed pool leaves none.
-func parkedPoolWorkers() int {
+// parkedGoroutines counts the goroutines whose dump shows them parked
+// in the given wait state (such as "[sync.Mutex.Lock") inside fn.
+func parkedGoroutines(state, fn string) int {
 	buf := make([]byte, 1<<16)
 	for {
 		n := runtime.Stack(buf, true)
@@ -198,11 +199,18 @@ func parkedPoolWorkers() int {
 	}
 	parked := 0
 	for _, g := range strings.Split(string(buf), "\n\n") {
-		if strings.Contains(g, "[sync.Cond.Wait") && strings.Contains(g, "parpool.(*Pool).work(") {
+		if strings.Contains(g, state) && strings.Contains(g, fn) {
 			parked++
 		}
 	}
 	return parked
+}
+
+// parkedPoolWorkers counts the parpool worker goroutines parked waiting
+// for work. A pool that is never closed leaves its workers parked; Close
+// joins every worker on its way out, so a closed pool leaves none.
+func parkedPoolWorkers() int {
+	return parkedGoroutines("[sync.Cond.Wait", "parpool.(*Pool).work(")
 }
 
 // TestWarmStartMatchesFullReplay: warm start recomputes only the newest
@@ -563,6 +571,257 @@ func TestRegimeTransitionAcrossRestart(t *testing.T) {
 	}
 	if !pinned {
 		t.Fatal("the commit that crossed the restart boundary was not pinned as a regime transition")
+	}
+}
+
+// regimeSeedTargets are the commits of the regime-seed tests: dest=zzz
+// at 2000, then dest=aaa at 7000. A snapshot sorts aaa's key first, so
+// its newest record is the 2000 commit, not the last one.
+var regimeSeedTargets = []string{
+	"/v1/license?ctp=21125&dest=zzz&threshold=2000",
+	"/v1/license?ctp=21125&dest=aaa&threshold=7000",
+}
+
+// TestRegimeSeedSurvivesCompaction: with SnapshotEvery 2, the two
+// regime-seed commits leave a snapshot and an empty tail. The snapshot
+// carries the 7000 commit as the record appended last, so after a
+// restart a further commit at 7000 is no transition: it publishes no
+// regime event and pins nothing. A seed taken from the snapshot's newest
+// record, the 2000 commit in sort order, would report a spurious
+// 2000->7000 transition.
+func TestRegimeSeedSurvivesCompaction(t *testing.T) {
+	dir := t.TempDir()
+	s1, l1 := newWALServer(t, dir, func(cfg *Config) { cfg.SnapshotEvery = 2 })
+	for _, target := range regimeSeedTargets {
+		if rec := do(t, s1.Handler(), "GET", target, ""); rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d", target, rec.Code)
+		}
+	}
+	if c := l1.Stats().Compactions; c != 1 {
+		t.Fatalf("compactions = %d, want 1", c)
+	}
+	if err := l1.Close(); err != nil {
+		t.Fatalf("close log: %v", err)
+	}
+
+	s2, l2 := newWALServer(t, dir, nil)
+	defer func() { _ = l2.Close() }()
+	rec := l2.Recovery()
+	if rec.SnapshotRecords != 2 || len(rec.Records) != 2 || rec.Records[1].Regime != 2000 {
+		t.Fatalf("recovered %+v, want the two-record snapshot ending at the 2000 commit", rec.Records)
+	}
+	h := s2.Handler()
+	if r := do(t, h, "GET", "/v1/license?ctp=21125&dest=aaa&endUse=after&threshold=7000", ""); r.Code != http.StatusOK {
+		t.Fatalf("commit at 7000: %d", r.Code)
+	}
+	if events := regimeEvents(s2); len(events) != 0 {
+		t.Fatalf("regime events after the restart = %+v, want none", events)
+	}
+	for _, pg := range flightRec(t, h).Pins {
+		if pg.Trigger == "request:regime-transition" {
+			t.Fatalf("a commit under the unchanged threshold was pinned: %+v", pg.Captures[len(pg.Captures)-1])
+		}
+	}
+}
+
+// TestRegimeSeedFromV1Snapshot: a v1 snapshot, which carries no last
+// record, still recovers warm, and over an empty tail it seeds the
+// detector as it always did: from the newest recovered record, the
+// snapshot's last key in sort order.
+func TestRegimeSeedFromV1Snapshot(t *testing.T) {
+	s0 := newTestServer(t)
+	bodies := map[string]string{}
+	for _, target := range regimeSeedTargets {
+		bodies[target] = do(t, s0.Handler(), "GET", target, "").Body.String()
+	}
+	var live []wal.Record
+	s0.decisions.forEach(func(key string, d *cachedDecision) {
+		th, _ := keyThreshold(key)
+		live = append(live, wal.Record{Kind: wal.KindDecision, Key: key, Regime: th, Hash: d.hash})
+	})
+
+	// A log that has appended nothing has no last record to carry, so
+	// its snapshot is written in the v1 format.
+	dir := t.TempDir()
+	l0, err := wal.Open(wal.Options{Dir: dir, Fsync: wal.FsyncNever})
+	if err != nil {
+		t.Fatalf("wal.Open: %v", err)
+	}
+	if err := l0.Snapshot(live); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	seq := l0.Stats().Segment
+	if err := l0.Close(); err != nil {
+		t.Fatalf("close log: %v", err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("snap-%016d.snap", seq)))
+	if err != nil || !strings.HasPrefix(string(data), "HPCSNAP1") {
+		t.Fatalf("snapshot %d is not v1 (err %v)", seq, err)
+	}
+
+	s, l := newWALServer(t, dir, nil)
+	defer func() { _ = l.Close() }()
+	if rec := l.Recovery(); rec.Last != (wal.Record{}) || rec.SnapshotRecords != 2 {
+		t.Fatalf("v1 recovery = %+v, want two snapshot records and no Last", rec)
+	}
+	if !s.haveRegime || s.lastRegime != 2000 {
+		t.Fatalf("seed = %v (have %v), want 2000 from the snapshot's last key", s.lastRegime, s.haveRegime)
+	}
+	for _, target := range regimeSeedTargets {
+		rec := do(t, s.Handler(), "GET", target, "")
+		if rec.Header().Get("X-Cache") != "hit" || rec.Body.String() != bodies[target] {
+			t.Fatalf("%s over a v1 snapshot: X-Cache=%q, body %q, want the warm %q",
+				target, rec.Header().Get("X-Cache"), rec.Body, bodies[target])
+		}
+	}
+}
+
+// TestAnswerFollowsLogRecord: no answer for a key leaves before its log
+// record is appended. The test holds walMu, so a leader GET of K blocks
+// in walCommit before its append; a second GET of K must then get no
+// answer, neither a cache hit nor a coalesced one, until the log holds
+// the record. The test waits on events, not on time: the leader is seen
+// parked on walMu in the goroutine dump, and the second GET announces
+// its join through the singleflight group's OnWait hook.
+func TestAnswerFollowsLogRecord(t *testing.T) {
+	s, l := newWALServer(t, t.TempDir(), nil)
+	defer func() { _ = l.Close() }()
+	h := s.Handler()
+	const target = "/v1/license?ctp=21125&dest=india&endUse=acked"
+	joined := make(chan struct{}, 1)
+	onWait := s.flights.OnWait
+	s.flights.OnWait = func() {
+		onWait()
+		joined <- struct{}{}
+	}
+
+	s.walMu.Lock()
+	held := true
+	defer func() {
+		if held {
+			s.walMu.Unlock()
+		}
+	}()
+	leader := make(chan *httptest.ResponseRecorder, 1)
+	go func() { leader <- do(t, h, "GET", target, "") }()
+	deadline := time.Now().Add(10 * time.Second)
+	for parkedGoroutines("[sync.Mutex.Lock", "serve.(*Server).walCommit(") == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the leader never parked on walMu in walCommit")
+		}
+		runtime.Gosched()
+	}
+
+	second := make(chan *httptest.ResponseRecorder, 1)
+	go func() { second <- do(t, h, "GET", target, "") }()
+	select {
+	case rec := <-second:
+		t.Fatalf("second GET answered %d (X-Cache %q) with %d appends, before the leader's record",
+			rec.Code, rec.Header().Get("X-Cache"), l.Stats().Appends)
+	case <-joined:
+	}
+	if n := l.Stats().Appends; n != 0 {
+		t.Fatalf("appends = %d while walMu is held, want 0", n)
+	}
+	s.walMu.Unlock()
+	held = false
+	first, rec := <-leader, <-second
+	if n := l.Stats().Appends; n != 1 {
+		t.Fatalf("appends = %d once both GETs are answered, want 1", n)
+	}
+	if first.Code != http.StatusOK || first.Header().Get("X-Cache") != "miss" {
+		t.Fatalf("leader: %d X-Cache=%q, want 200 miss", first.Code, first.Header().Get("X-Cache"))
+	}
+	if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "hit" || rec.Body.String() != first.Body.String() {
+		t.Fatalf("second GET: %d X-Cache=%q, want 200 hit with the leader's body", rec.Code, rec.Header().Get("X-Cache"))
+	}
+}
+
+// TestRecoveryReadableDuringCompaction: Recovery() and /v1/healthz read
+// the log's recovery while concurrent commits compact it. Under -race
+// this pins that the release at the first compaction replaces the
+// recovery rather than writing into the value a reader holds. The
+// tallies healthz reports do not move, and the records are gone once a
+// compaction has run.
+func TestRecoveryReadableDuringCompaction(t *testing.T) {
+	const callers, perCaller = 2, 12
+	dir := t.TempDir()
+	writeWarmStartLog(t, dir)
+	s, l := newWALServer(t, dir, func(cfg *Config) { cfg.SnapshotEvery = 2 })
+	defer func() { _ = l.Close() }()
+	h := s.Handler()
+	opened := l.Recovery()
+	if len(opened.Records) == 0 {
+		t.Fatal("the restart recovered no records")
+	}
+	segments, snapRecs := opened.Segments, opened.SnapshotRecords
+
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(2)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			rec := l.Recovery()
+			if n := len(rec.Records); n != 0 && n != len(opened.Records) {
+				t.Errorf("Recovery() read %d records mid-compaction, want %d or 0", n, len(opened.Records))
+			}
+			if rec.Segments != segments || rec.SnapshotRecords != snapRecs {
+				t.Errorf("Recovery() tallies moved: %+v", rec)
+			}
+			runtime.Gosched()
+		}
+	}()
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			var hr HealthResponse
+			if err := json.Unmarshal(do(t, h, "GET", "/v1/healthz", "").Body.Bytes(), &hr); err != nil || hr.WAL == nil {
+				t.Errorf("healthz: %v", err)
+				return
+			}
+			if hr.WAL.TornRecords != opened.TornRecords || hr.WAL.CorruptRecs != opened.CorruptRecords {
+				t.Errorf("healthz damage tallies moved: %+v", hr.WAL)
+			}
+		}
+	}()
+
+	var writers sync.WaitGroup
+	for c := range callers {
+		writers.Add(1)
+		go func(c int) {
+			defer writers.Done()
+			for i := range perCaller {
+				target := fmt.Sprintf("/v1/license?ctp=%d&dest=india&endUse=release%d", 700+c*perCaller+i, i)
+				if rec := do(t, h, "GET", target, ""); rec.Code != http.StatusOK {
+					t.Errorf("%s: %d", target, rec.Code)
+				}
+			}
+		}(c)
+	}
+	writers.Wait()
+	close(done)
+	readers.Wait()
+
+	if c := l.Stats().Compactions; c == 0 {
+		t.Fatal("no compaction ran")
+	}
+	rec := l.Recovery()
+	if rec.Records != nil || rec.Last != (wal.Record{}) {
+		t.Fatalf("after compaction: %d records and Last %+v, want both released", len(rec.Records), rec.Last)
+	}
+	if rec.Segments != segments || rec.SnapshotRecords != snapRecs {
+		t.Fatalf("tallies moved: %+v", rec)
 	}
 }
 

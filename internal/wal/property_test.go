@@ -14,7 +14,8 @@ import (
 // yields byte-identical recovered record sequences.
 //
 // The model is last-write-wins per key, the same way the serve layer's
-// decision LRU absorbs the replay stream.
+// decision LRU absorbs the replay stream, plus the record appended last,
+// which recovery must report as Last across any snapshot.
 
 const propertyCases = 200
 
@@ -49,6 +50,7 @@ func genScript(rng *rand.Rand) []walOp {
 func runScript(t *testing.T, dir string, ops []walOp) ([]Record, map[string]Record) {
 	t.Helper()
 	model := make(map[string]Record)
+	var last Record
 	// Small segments so rotation paths get exercised by appends too.
 	opts := Options{Dir: dir, SegmentBytes: 256, Fsync: FsyncNever}
 	l := mustOpen(t, opts)
@@ -57,6 +59,7 @@ func runScript(t *testing.T, dir string, ops []walOp) ([]Record, map[string]Reco
 		case "append":
 			mustAppend(t, l, op.rec)
 			model[op.rec.Key] = op.rec
+			last = op.rec
 		case "rotate":
 			if err := l.Rotate(); err != nil {
 				t.Fatalf("Rotate: %v", err)
@@ -80,6 +83,9 @@ func runScript(t *testing.T, dir string, ops []walOp) ([]Record, map[string]Reco
 			if !reflect.DeepEqual(replay, model) {
 				t.Fatalf("mid-script reopen diverged from model:\n got %+v\nwant %+v", replay, model)
 			}
+			if got := l.Recovery().Last; got != last {
+				t.Fatalf("mid-script reopen: Last = %+v, want the last append %+v", got, last)
+			}
 		}
 	}
 	if err := l.Close(); err != nil {
@@ -87,6 +93,9 @@ func runScript(t *testing.T, dir string, ops []walOp) ([]Record, map[string]Reco
 	}
 	final := mustOpen(t, opts)
 	defer func() { _ = final.Close() }()
+	if got := final.Recovery().Last; got != last {
+		t.Fatalf("final reopen: Last = %+v, want the last append %+v", got, last)
+	}
 	recovered := append([]Record(nil), final.Recovery().Records...)
 	return recovered, model
 }

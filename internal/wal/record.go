@@ -58,6 +58,10 @@ type Record struct {
 const (
 	frameHeaderBytes = 8
 
+	// minPayloadBytes is the shortest payload a reader accepts: kind,
+	// regime, hash and a one-byte key length.
+	minPayloadBytes = 1 + 8 + 8 + 1
+
 	// maxRecordBytes bounds a single payload. A corrupted length prefix
 	// must not make the reader attempt a multi-gigabyte allocation.
 	maxRecordBytes = 1 << 20
@@ -85,11 +89,8 @@ func appendRecord(dst []byte, rec Record) ([]byte, error) {
 	if len(rec.Key) > maxRecordBytes-32 {
 		return dst, fmt.Errorf("wal: key of %d bytes exceeds the record bound", len(rec.Key))
 	}
-	var scratch [binary.MaxVarintLen64]byte
-	payloadLen := 1 + 8 + 8 + binary.PutUvarint(scratch[:], uint64(len(rec.Key))) + len(rec.Key)
-
 	start := len(dst)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(payloadLen))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(payloadBytes(rec.Key)))
 	dst = append(dst, 0, 0, 0, 0) // CRC placeholder
 	payloadStart := len(dst)
 	dst = append(dst, byte(rec.Kind))
@@ -103,6 +104,13 @@ func appendRecord(dst []byte, rec Record) ([]byte, error) {
 	return dst, nil
 }
 
+// payloadBytes is the payload length of a record whose key is key, so a
+// frame is frameHeaderBytes + payloadBytes(key) long.
+func payloadBytes(key string) int {
+	var scratch [binary.MaxVarintLen64]byte
+	return 1 + 8 + 8 + binary.PutUvarint(scratch[:], uint64(len(key))) + len(key)
+}
+
 // decodeRecord reads one frame from the front of b, returning the record
 // and the number of bytes consumed. Corruption comes back as an error:
 // errShortFrame when b ends mid-frame (a torn tail), errFrameLength and
@@ -113,7 +121,7 @@ func decodeRecord(b []byte) (Record, int, error) {
 		return rec, 0, errShortFrame
 	}
 	payloadLen := int(binary.LittleEndian.Uint32(b[0:4]))
-	if payloadLen < 1+8+8+1 || payloadLen > maxRecordBytes {
+	if payloadLen < minPayloadBytes || payloadLen > maxRecordBytes {
 		return rec, 0, errFrameLength
 	}
 	if len(b) < frameHeaderBytes+payloadLen {

@@ -13,9 +13,12 @@ import (
 // File-format constants. Segment and snapshot files share the record
 // framing; they differ only in their headers and in how the reader treats
 // damage (a segment tolerates a torn tail, a snapshot is all-or-nothing).
+// A v2 snapshot is a v1 snapshot plus one trailing frame: the decision
+// record appended last before it.
 const (
-	segmentMagic  = "HPCWAL1\x00"
-	snapshotMagic = "HPCSNAP1"
+	segmentMagic    = "HPCWAL1\x00"
+	snapshotMagicV1 = "HPCSNAP1"
+	snapshotMagicV2 = "HPCSNAP2"
 
 	segmentHeaderBytes  = 16 // magic + uint64 LE sequence number
 	snapshotHeaderBytes = 24 // magic + uint64 LE sequence + uint64 LE record count
@@ -103,47 +106,104 @@ func readSegmentBytes(data []byte) segmentScan {
 	return s
 }
 
-// readSnapshotBytes decodes a snapshot image. Snapshots are written
-// atomically (temp file, fsync, rename), so unlike a segment a damaged
-// snapshot is rejected whole: ok=false means the caller falls back to an
-// older snapshot or a full segment replay.
-func readSnapshotBytes(data []byte) (seq uint64, records []Record, ok bool) {
-	if len(data) < snapshotHeaderBytes || string(data[:len(snapshotMagic)]) != snapshotMagic {
-		return 0, nil, false
+// snapshotImage is the content of one snapshot file: the sequence it
+// covers, the live records in file order, and, in a v2 image, the
+// decision record appended last before the snapshot. A zero last.Kind
+// marks a v1 image, which carries none.
+type snapshotImage struct {
+	seq     uint64
+	records []Record
+	last    Record
+}
+
+// encodeSnapshot renders img in one allocation, its records in the
+// order given: HPCSNAP2 with the trailing last record when img carries
+// one, HPCSNAP1 otherwise.
+func encodeSnapshot(img *snapshotImage) ([]byte, error) {
+	magic, n := snapshotMagicV1, snapshotHeaderBytes
+	for i := range img.records {
+		n += frameHeaderBytes + payloadBytes(img.records[i].Key)
 	}
-	seq = binary.LittleEndian.Uint64(data[len(snapshotMagic) : len(snapshotMagic)+8])
-	count := binary.LittleEndian.Uint64(data[len(snapshotMagic)+8 : snapshotHeaderBytes])
-	if count > maxSnapshotRecords {
-		return 0, nil, false
+	if img.last.Kind != 0 {
+		magic = snapshotMagicV2
+		n += frameHeaderBytes + payloadBytes(img.last.Key)
+	}
+	dst := make([]byte, 0, n)
+	dst = append(dst, magic...)
+	dst = binary.LittleEndian.AppendUint64(dst, img.seq)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(img.records)))
+	var err error
+	for i := range img.records {
+		if dst, err = appendRecord(dst, img.records[i]); err != nil {
+			return nil, err
+		}
+	}
+	if img.last.Kind != 0 {
+		return appendRecord(dst, img.last)
+	}
+	return dst, nil
+}
+
+// readSnapshotBytes decodes a v1 or v2 snapshot image. Snapshots are
+// written atomically (temp file, fsync, rename), so unlike a segment a
+// damaged snapshot is rejected whole: ok=false means the caller falls
+// back to an older snapshot or a full segment replay.
+func readSnapshotBytes(data []byte) (snapshotImage, bool) {
+	if len(data) < snapshotHeaderBytes {
+		return snapshotImage{}, false
+	}
+	magic := string(data[:len(snapshotMagicV1)])
+	if magic != snapshotMagicV1 && magic != snapshotMagicV2 {
+		return snapshotImage{}, false
+	}
+	// A count the image is too short to hold is damage, rejected before
+	// it can size an allocation.
+	count := binary.LittleEndian.Uint64(data[len(magic)+8 : snapshotHeaderBytes])
+	if count > uint64(len(data)-snapshotHeaderBytes)/(frameHeaderBytes+minPayloadBytes) {
+		return snapshotImage{}, false
+	}
+	img := snapshotImage{
+		seq:     binary.LittleEndian.Uint64(data[len(magic) : len(magic)+8]),
+		records: make([]Record, 0, count),
 	}
 	off := snapshotHeaderBytes
-	records = make([]Record, 0, count)
 	for i := uint64(0); i < count; i++ {
 		rec, n, err := decodeRecord(data[off:])
 		if err != nil {
-			return 0, nil, false
+			return snapshotImage{}, false
 		}
-		records = append(records, rec)
+		img.records = append(img.records, rec)
+		off += n
+	}
+	if magic == snapshotMagicV2 {
+		rec, n, err := decodeRecord(data[off:])
+		if err != nil {
+			return snapshotImage{}, false
+		}
+		img.last = rec
 		off += n
 	}
 	if off != len(data) {
-		return 0, nil, false
+		return snapshotImage{}, false
 	}
-	return seq, records, true
+	return img, true
 }
-
-// maxSnapshotRecords bounds the record count a snapshot header may claim,
-// so a corrupted count cannot provoke a huge allocation.
-const maxSnapshotRecords = 1 << 24
 
 // Recovery summarizes a warm start: the records to replay, in replay
 // order (the snapshot's sorted live set first, then the segment tail in
-// append order), and the damage accounting. Replay order is a pure
-// function of the files on disk, so the same log always recovers the
-// same state — the determinism contract the serve layer's warm-start
-// tests pin byte-for-byte.
+// append order), the decision record appended last, and the damage
+// accounting. Replay order is a pure function of the files on disk, so
+// the same log always recovers the same state — the determinism contract
+// the serve layer's warm-start tests pin byte-for-byte.
 type Recovery struct {
 	Records []Record
+
+	// Last is the decision record appended last before the log was
+	// opened, in log order: the tail's newest decision record, else the
+	// one a v2 snapshot carries. It is the zero Record when the tail
+	// holds no decision record and the snapshot is absent or v1, which
+	// carries none. It is a copy, so holding it does not hold Records.
+	Last Record
 
 	SnapshotSeq      uint64 // sequence of the snapshot replayed; 0 = none
 	SnapshotRecords  int    // records that came from the snapshot
@@ -185,14 +245,15 @@ func recoverDir(dir string) (rec Recovery, appendSeq uint64, reuseLen int64, err
 			rec.DroppedSnapshots++
 			continue
 		}
-		snapSeq, records, ok := readSnapshotBytes(data)
-		if !ok || snapSeq != seq {
+		img, ok := readSnapshotBytes(data)
+		if !ok || img.seq != seq {
 			rec.DroppedSnapshots++
 			continue
 		}
 		rec.SnapshotSeq = seq
-		rec.SnapshotRecords = len(records)
-		rec.Records = append(rec.Records, records...)
+		rec.SnapshotRecords = len(img.records)
+		rec.Records = img.records
+		rec.Last = img.last
 		break
 	}
 
@@ -238,6 +299,12 @@ func recoverDir(dir string) (rec Recovery, appendSeq uint64, reuseLen int64, err
 			// log promised to keep.
 			appendSeq = seq
 			reuseLen = int64(scan.goodLen)
+		}
+	}
+	for i := len(rec.Records) - 1; i >= rec.SnapshotRecords; i-- {
+		if rec.Records[i].Kind == KindDecision {
+			rec.Last = rec.Records[i]
+			break
 		}
 	}
 	return rec, appendSeq, reuseLen, nil

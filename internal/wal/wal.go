@@ -21,6 +21,12 @@
 // The log only logs: it appends, rotates, snapshots, recovers and
 // closes. What a commit means (a regime transition, an event on the
 // watch stream) is decided by the serve layer that commits it.
+//
+// The recovery set is held only until it is superseded. Open keeps the
+// records it recovered for warm start; the first Snapshot, once the new
+// snapshot is durable and the segments it replaces are removed, drops
+// them, because they then describe files that no longer exist. The
+// recovery's tallies stay for the life of the log.
 package wal
 
 import (
@@ -28,7 +34,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -140,7 +146,10 @@ type Log struct {
 	policy  FsyncPolicy
 	opener  func(path string, reuseLen int64) (segmentFile, error)
 
-	recovery Recovery
+	// recovery is what Open recovered. It is replaced, never mutated:
+	// the first compaction stores a copy without Records and Last, so a
+	// reader holding the old value keeps a consistent one.
+	recovery atomic.Pointer[Recovery]
 
 	appends     atomic.Uint64
 	fsyncs      atomic.Uint64
@@ -154,13 +163,15 @@ type Log struct {
 	sinceSync int
 	buf       []byte
 	closed    bool
+	last      Record // the decision record appended last; the next snapshot carries it
 }
 
 // Open opens (or creates) the log in opts.Dir, recovering any existing
 // state first. The recovery — the deterministic replay set plus the
-// damage tallies — is retained and available from Recovery until the log
-// is closed. Appends continue in the highest intact segment, truncated
-// past any torn tail.
+// damage tallies — is available from Recovery; its records are held
+// until the first Snapshot supersedes them, its tallies until the log is
+// closed. Appends continue in the highest intact segment, truncated past
+// any torn tail.
 func Open(opts Options) (*Log, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("wal: Options.Dir is required")
@@ -182,12 +193,13 @@ func Open(opts Options) (*Log, error) {
 		return nil, err
 	}
 	l := &Log{
-		dir:      opts.Dir,
-		segSize:  opts.SegmentBytes,
-		policy:   opts.Fsync,
-		opener:   opts.opener,
-		recovery: rec,
+		dir:     opts.Dir,
+		segSize: opts.SegmentBytes,
+		policy:  opts.Fsync,
+		opener:  opts.opener,
+		last:    rec.Last,
 	}
+	l.recovery.Store(&rec)
 	if err := l.openSegment(appendSeq, reuseLen); err != nil {
 		return nil, err
 	}
@@ -224,8 +236,11 @@ func (l *Log) openSegment(seq uint64, reuseLen int64) error {
 }
 
 // Recovery returns the warm-start replay set computed at Open. The
-// returned value is shared and must be treated as read-only.
-func (l *Log) Recovery() *Recovery { return &l.recovery }
+// returned value is shared and must be treated as read-only; it is never
+// modified, so it is safe to read during a concurrent compaction. After
+// the first Snapshot, Recovery returns the same tallies with Records nil
+// and Last zero.
+func (l *Log) Recovery() *Recovery { return l.recovery.Load() }
 
 // Stats returns the cumulative operation counters.
 func (l *Log) Stats() Stats {
@@ -265,6 +280,9 @@ func (l *Log) Append(rec Record) error {
 		l.sinceSync = 0
 	}
 	l.appends.Add(1)
+	if rec.Kind == KindDecision {
+		l.last = rec
+	}
 	if l.size >= l.segSize {
 		if err := l.rotateLocked(); err != nil {
 			return err
@@ -306,9 +324,13 @@ func (l *Log) rotateLocked() error {
 // Snapshot writes the given live records as a compacted snapshot and
 // truncates the history it covers: the log rotates to a fresh segment,
 // writes the snapshot atomically (temp file, fsync, rename), then
-// removes every older segment and snapshot. Records are sorted by key
-// before writing, so the snapshot — like everything else in the replay
-// path — is a deterministic function of its inputs, not of map order.
+// removes every older segment and snapshot. Snapshot sorts records by
+// key in place before writing, so the snapshot — like everything else in
+// the replay path — is a deterministic function of its inputs, not of
+// map order. The snapshot also carries the decision record appended last
+// before it (HPCSNAP2), so a restart over an empty tail knows the last
+// commit; a log that has none to carry writes HPCSNAP1. Once the older
+// files are gone, the recovery's Records and Last are released.
 func (l *Log) Snapshot(records []Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -318,24 +340,15 @@ func (l *Log) Snapshot(records []Record) error {
 	if err := l.rotateLocked(); err != nil {
 		return err
 	}
-	seq := l.segSeq.Load()
-
-	sorted := make([]Record, len(records))
-	copy(sorted, records)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-
-	buf := append([]byte(nil), snapshotMagic...)
-	buf = appendUint64LE(buf, seq)
-	buf = appendUint64LE(buf, uint64(len(sorted)))
-	var err error
-	for _, rec := range sorted {
-		if buf, err = appendRecord(buf, rec); err != nil {
-			return err
-		}
+	slices.SortFunc(records, func(a, b Record) int { return strings.Compare(a.Key, b.Key) })
+	img := snapshotImage{seq: l.segSeq.Load(), records: records, last: l.last}
+	buf, err := encodeSnapshot(&img)
+	if err != nil {
+		return err
 	}
 
-	tmp := filepath.Join(l.dir, snapshotName(seq)+".tmp")
-	final := filepath.Join(l.dir, snapshotName(seq))
+	tmp := filepath.Join(l.dir, snapshotName(img.seq)+".tmp")
+	final := filepath.Join(l.dir, snapshotName(img.seq))
 	if err := writeFileSynced(tmp, buf); err != nil {
 		return fmt.Errorf("wal: snapshot write: %w", err)
 	}
@@ -351,10 +364,15 @@ func (l *Log) Snapshot(records []Record) error {
 	// in the snapshot (live) or superseded. Removal failures are
 	// returned, but the snapshot itself is already durable — a crash
 	// here leaves extra segments whose replay is idempotent.
-	if err := l.removeBelow(seq); err != nil {
+	if err := l.removeBelow(img.seq); err != nil {
 		return err
 	}
 	l.compactions.Add(1)
+	if rec := l.recovery.Load(); rec.Records != nil || rec.Last.Kind != 0 {
+		released := *rec
+		released.Records, released.Last = nil, Record{}
+		l.recovery.Store(&released)
+	}
 	return nil
 }
 
@@ -397,13 +415,6 @@ func (l *Log) Close() error {
 	}
 	l.fsyncs.Add(1)
 	return l.f.Close()
-}
-
-// appendUint64LE appends v in little-endian order.
-func appendUint64LE(dst []byte, v uint64) []byte {
-	return append(dst,
-		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 }
 
 // writeFileSynced writes data to path and fsyncs it before closing.

@@ -370,3 +370,105 @@ func TestDamagedSnapshotFallsBackToSegments(t *testing.T) {
 		t.Fatalf("recovered %+v, want just the tail", rec.Records)
 	}
 }
+
+// snapshotMagicIn reads the magic of the snapshot file with sequence seq.
+func snapshotMagicIn(t *testing.T, dir string, seq uint64) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, snapshotName(seq)))
+	if err != nil {
+		t.Fatalf("read snapshot: %v", err)
+	}
+	return string(data[:len(snapshotMagicV2)])
+}
+
+// TestSnapshotCarriesLastAppended: a snapshot carries the decision record
+// appended last before it, which is neither the newest of its sorted
+// records nor necessarily one of them, and recovery reports it as Last
+// whether the tail is empty or holds a newer decision.
+func TestSnapshotCarriesLastAppended(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, Options{Dir: dir})
+	last := mkRecord(1, 7000)
+	mustAppend(t, l, mkRecord(9, 2000), last)
+	if err := l.Snapshot([]Record{mkRecord(9, 2000), mkRecord(2, 2000)}); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	seq := l.Stats().Segment
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if got := snapshotMagicIn(t, dir, seq); got != snapshotMagicV2 {
+		t.Fatalf("snapshot magic = %q, want %q", got, snapshotMagicV2)
+	}
+
+	l2 := mustOpen(t, Options{Dir: dir})
+	rec := l2.Recovery()
+	want := []Record{mkRecord(2, 2000), mkRecord(9, 2000)}
+	if !reflect.DeepEqual(rec.Records, want) {
+		t.Fatalf("recovered %+v, want the sorted set %+v alone", rec.Records, want)
+	}
+	if rec.Last != last {
+		t.Fatalf("Last = %+v over an empty tail, want the snapshot's %+v", rec.Last, last)
+	}
+	tail := mkRecord(3, 10600)
+	mustAppend(t, l2, tail)
+	if err := l2.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	l3 := mustOpen(t, Options{Dir: dir})
+	defer func() { _ = l3.Close() }()
+	if got := l3.Recovery().Last; got != tail {
+		t.Fatalf("Last = %+v, want the tail's newest decision %+v", got, tail)
+	}
+}
+
+// TestRecoveryReleasedAtFirstSnapshot: the recovered records stay intact
+// after Open and after appends, and the first compaction drops them (and
+// Last) while every tally stays. A caller still holding the value read
+// before the compaction keeps the records it read.
+func TestRecoveryReleasedAtFirstSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, Options{Dir: dir})
+	mustAppend(t, l, mkRecord(1, 2000), mkRecord(2, 2000))
+	if err := l.Snapshot([]Record{mkRecord(1, 2000), mkRecord(2, 2000)}); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	mustAppend(t, l, mkRecord(3, 7000))
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	l2 := mustOpen(t, Options{Dir: dir})
+	defer func() { _ = l2.Close() }()
+	opened := l2.Recovery()
+	want := []Record{mkRecord(1, 2000), mkRecord(2, 2000), mkRecord(3, 7000)}
+	if !reflect.DeepEqual(opened.Records, want) || opened.Last != mkRecord(3, 7000) {
+		t.Fatalf("after Open: %+v, want records %+v and the tail's Last", opened, want)
+	}
+	tallies := *opened
+	tallies.Records, tallies.Last = nil, Record{}
+
+	mustAppend(t, l2, mkRecord(4, 7000))
+	if got := l2.Recovery(); !reflect.DeepEqual(got.Records, want) {
+		t.Fatalf("after an append: records %+v, want %+v", got.Records, want)
+	}
+	if err := l2.Snapshot([]Record{mkRecord(4, 7000), mkRecord(3, 7000)}); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	got := l2.Recovery()
+	if got.Records != nil || got.Last != (Record{}) {
+		t.Fatalf("after the first Snapshot: records %+v, Last %+v, want both released", got.Records, got.Last)
+	}
+	if !reflect.DeepEqual(*got, tallies) {
+		t.Fatalf("tallies moved: %+v, want %+v", *got, tallies)
+	}
+	if !reflect.DeepEqual(opened.Records, want) {
+		t.Fatalf("the value read before the compaction changed: %+v", opened.Records)
+	}
+	if err := l2.Snapshot(nil); err != nil {
+		t.Fatalf("second Snapshot: %v", err)
+	}
+	if again := l2.Recovery(); !reflect.DeepEqual(*again, tallies) {
+		t.Fatalf("after the second Snapshot: %+v, want %+v", *again, tallies)
+	}
+}
