@@ -43,27 +43,42 @@ go test -shuffle=on ./... > /dev/null
 echo "== parpool barrier/reduction under -race, repeated =="
 go test -race -count=2 ./internal/parpool/
 
-echo "== request deadline, ctx-aware singleflight, parallel warm start, gateway fetch goroutines, request records, gateway request IDs, the regime detector, the log's commit order and release, and watch drain under -race, repeated =="
+echo "== request deadline, ctx-aware singleflight, parallel warm start, concurrent cold batches, gateway fetch goroutines, request records, gateway request IDs, the regime detector, the log's commit order and release, and watch drain under -race, repeated =="
 # The waiter that leaves its flight at ctx.Done(), the coalesced herd,
 # the cut wait answered 503, the overrunning fill that keeps its
 # semaphore slot, the warm start that recomputes on a transient worker
 # pool (same cache as a full replay; a key judged by its newest record),
-# and the gateway's parked fetch goroutines (one reused across
-# sequential GETs; hedges, herds and concurrent cold batches run on
-# reused goroutines, and Close releases them), the one record per request
-# (spans ended on many goroutines and on the batch pool's workers, a
-# pinned record keeping its spans past ring wrap, /v1/traces and
-# /v1/flightrec read from one ring), a held gateway herd answering
-# each request under its own ID, the one regime detector (seeded across
-# a restart; concurrent commits whose regime events chain and name
-# exactly the pinned transition captures), the decision log's ordering
-# and release (a second GET held until the leader's record is appended;
-# Recovery() and /v1/healthz read while concurrent commits compact), and
-# a Serve drain that ends open watch streams, server-side and through the
-# client, each run ten times under the race detector.
-go test -race -count=10 \
-	-run '^(TestWaiterLeavesAtContextEnd|TestCoalescedFillsAreByteIdentical|TestCoalescedWaitEndsAtDeadline|TestMaxInFlightBoundsOverrunningFills|TestWarmStartMatchesFullReplay|TestWarmStartJudgesKeyByNewestRecord|TestLauncherReusesOneParkedFetcher|TestLauncherHedgesOnReusedFetchers|TestGatewayHedgeByteIdentity|TestGatewayHerdSingleFill|TestGatewayConcurrentColdBatches|TestRecordConcurrentSpans|TestSpanDoubleEndAndLateChild|TestBatchRecordAcrossWorkers|TestPinnedRecordKeepsSpansPastRingWrap|TestTracesAndFlightRecReadOneRing|TestGatewayHerdEchoesEachRequestID|TestRegimeTransitionAcrossRestart|TestRegimeEventsMatchPins|TestAnswerFollowsLogRecord|TestRecoveryReadableDuringCompaction|TestWatchStreamEndsOnHubClose|TestWatchEndsCleanlyOnServerDrain)$' \
-	./internal/singleflight/ ./internal/obs/ ./internal/serve/ ./internal/serve/client/ ./internal/gateway/
+# cold batches from several callers filling side by side through one
+# cache and one flight group, and the gateway's parked fetch goroutines
+# (one reused across sequential GETs; hedges, herds and concurrent cold
+# batches run on reused goroutines, and Close releases them), the one
+# record per request (spans ended on many goroutines, a cold batch's
+# bounded record of per-fill spans, a pinned record keeping its spans
+# past ring wrap, /v1/traces and /v1/flightrec read from one ring), a
+# held gateway herd answering each request under its own ID, the one
+# regime detector (seeded across a restart; concurrent commits whose
+# regime events chain and name exactly the pinned transition captures),
+# the decision log's ordering and release (a second GET held until the
+# leader's record is appended; Recovery() and /v1/healthz read while
+# concurrent commits compact), and a Serve drain that ends open watch
+# streams, server-side and through the client, each run ten times under
+# the race detector. A -run pattern that matches nothing passes
+# silently, so the step first requires go test -list to find every name
+# it gives.
+race_tests='TestWaiterLeavesAtContextEnd|TestCoalescedFillsAreByteIdentical|TestCoalescedWaitEndsAtDeadline|TestMaxInFlightBoundsOverrunningFills|TestWarmStartMatchesFullReplay|TestWarmStartJudgesKeyByNewestRecord|TestConcurrentColdBatches|TestLauncherReusesOneParkedFetcher|TestLauncherHedgesOnReusedFetchers|TestGatewayHedgeByteIdentity|TestGatewayHerdSingleFill|TestGatewayConcurrentColdBatches|TestRecordConcurrentSpans|TestSpanDoubleEndAndLateChild|TestColdBatchRecord|TestPinnedRecordKeepsSpansPastRingWrap|TestTracesAndFlightRecReadOneRing|TestGatewayHerdEchoesEachRequestID|TestRegimeTransitionAcrossRestart|TestRegimeEventsMatchPins|TestAnswerFollowsLogRecord|TestRecoveryReadableDuringCompaction|TestWatchStreamEndsOnHubClose|TestWatchEndsCleanlyOnServerDrain'
+race_pkgs='./internal/singleflight/ ./internal/obs/ ./internal/serve/ ./internal/serve/client/ ./internal/gateway/'
+listed=$(go test -list "^($race_tests)\$" $race_pkgs)
+missing=""
+for name in $(echo "$race_tests" | tr '|' ' '); do
+	if ! echo "$listed" | grep -qx "$name"; then
+		missing="$missing $name"
+	fi
+done
+if [ -n "$missing" ]; then
+	echo "ci.sh: the race step names tests that no package defines:$missing" >&2
+	exit 1
+fi
+go test -race -count=10 -run "^($race_tests)\$" $race_pkgs
 
 echo "== bench smoke (one iteration of every benchmark) =="
 go test -run '^$' -bench . -benchtime=1x ./... > /dev/null

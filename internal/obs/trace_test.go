@@ -172,8 +172,8 @@ func TestRecordKeepsAtMostMaxSpans(t *testing.T) {
 }
 
 // TestRecordConcurrentSpans: sibling spans of one record start and end
-// on many goroutines, as batch fills do on the pool's workers; the
-// sealed capture holds each once, in ID order. Meaningful under -race.
+// on many goroutines, as the Span contract allows; the sealed capture
+// holds each once, in ID order. Meaningful under -race.
 func TestRecordConcurrentSpans(t *testing.T) {
 	const workers, each = 4, 6
 	r := NewRecorder(2)

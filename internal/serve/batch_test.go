@@ -105,11 +105,12 @@ func TestLicenseBatchBodyMatchesStdlib(t *testing.T) {
 	}
 }
 
-// TestLicenseBatchParallelMatchesInline answers one large batch on a
-// multi-worker server and again on a BatchWorkers:1 server, requiring
-// byte-identical bodies: parallel evaluation is an execution detail, not
-// an observable one.
-func TestLicenseBatchParallelMatchesInline(t *testing.T) {
+// TestLicenseBatchColdAndWarmAgree answers one large mixed batch cold on
+// two servers and requires byte-identical bodies, then answers it warm
+// on the first and requires the cold body again: which server computed
+// an item, and whether the cache or a fill answered it, is not
+// observable.
+func TestLicenseBatchColdAndWarmAgree(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString(`{"requests":[`)
 	for i := 0; i < 96; i++ {
@@ -130,35 +131,27 @@ func TestLicenseBatchParallelMatchesInline(t *testing.T) {
 	sb.WriteString(`]}`)
 	body := sb.String()
 
-	par, err := New(Config{Clock: testClock, BatchWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
+	first, second := newTestServer(t), newTestServer(t)
+	cold := do(t, first.Handler(), "POST", "/v1/license", body)
+	other := do(t, second.Handler(), "POST", "/v1/license", body)
+	if cold.Code != http.StatusOK || other.Code != http.StatusOK {
+		t.Fatalf("status first=%d second=%d", cold.Code, other.Code)
 	}
-	inl, err := New(Config{Clock: testClock, BatchWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recPar := do(t, par.Handler(), "POST", "/v1/license", body)
-	recInl := do(t, inl.Handler(), "POST", "/v1/license", body)
-	if recPar.Code != http.StatusOK || recInl.Code != http.StatusOK {
-		t.Fatalf("status parallel=%d inline=%d", recPar.Code, recInl.Code)
-	}
-	if !bytes.Equal(recPar.Body.Bytes(), recInl.Body.Bytes()) {
-		t.Error("parallel batch body differs from inline batch body")
+	if !bytes.Equal(cold.Body.Bytes(), other.Body.Bytes()) {
+		t.Error("two servers' cold answers to one batch differ")
 	}
 	// And a second, warm pass over the same batch is byte-identical to
 	// the cold one (hit ≡ cold, batch form).
-	recWarm := do(t, par.Handler(), "POST", "/v1/license", body)
-	if !bytes.Equal(recWarm.Body.Bytes(), recPar.Body.Bytes()) {
+	warm := do(t, first.Handler(), "POST", "/v1/license", body)
+	if !bytes.Equal(warm.Body.Bytes(), cold.Body.Bytes()) {
 		t.Error("warm batch body differs from cold batch body")
 	}
 }
 
 // TestConcurrentColdBatches posts cold batches from several callers at
-// once to a multi-worker server. Every batch has enough misses to want
-// the parallel batch pool, which must never Run for two batches at once:
-// each answer must arrive before the deadline, byte-identical to a
-// BatchWorkers:1 server's answer to the same batch.
+// once, so their fills run side by side through one cache and one flight
+// group: each answer must arrive before the deadline, byte-identical to
+// a second server's answer to the same batch posted alone.
 func TestConcurrentColdBatches(t *testing.T) {
 	const callers, rounds, items = 4, 4, 64
 	body := func(c, r int) string {
@@ -173,14 +166,7 @@ func TestConcurrentColdBatches(t *testing.T) {
 		sb.WriteString(`]}`)
 		return sb.String()
 	}
-	par, err := New(Config{Clock: testClock, BatchWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inl, err := New(Config{Clock: testClock, BatchWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	par, ref := newTestServer(t), newTestServer(t)
 
 	got := make([]*httptest.ResponseRecorder, callers*rounds)
 	var wg sync.WaitGroup
@@ -202,12 +188,12 @@ func TestConcurrentColdBatches(t *testing.T) {
 	}
 
 	for i, rec := range got {
-		want := do(t, inl.Handler(), "POST", "/v1/license", body(i/rounds, i%rounds))
+		want := do(t, ref.Handler(), "POST", "/v1/license", body(i/rounds, i%rounds))
 		if rec.Code != http.StatusOK || want.Code != http.StatusOK {
-			t.Fatalf("batch %d: status %d, inline %d: %s", i, rec.Code, want.Code, rec.Body)
+			t.Fatalf("batch %d: status %d, reference %d: %s", i, rec.Code, want.Code, rec.Body)
 		}
 		if !bytes.Equal(rec.Body.Bytes(), want.Body.Bytes()) {
-			t.Errorf("batch %d differs from the inline server's answer", i)
+			t.Errorf("batch %d differs from the reference server's answer", i)
 		}
 	}
 }

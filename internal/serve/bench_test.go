@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -41,6 +42,57 @@ func BenchmarkServeLicenseCached(b *testing.B) {
 	b.StopTimer()
 	if s.decisions.Stats().Hits == 0 {
 		b.Fatal("benchmark never hit the cache")
+	}
+}
+
+// batchBody renders a batch of n license requests keyed by tag, round
+// and position, so no two rounds of one tag share a key.
+func batchBody(tag string, round, n int) string {
+	var sb strings.Builder
+	sb.WriteString(`{"requests":[`)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		fmt.Fprintf(&sb, `{"ctp":%d,"destination":"india","endUse":"%s %d.%d"}`, 500+i*37, tag, round, i)
+	}
+	sb.WriteString(`]}`)
+	return sb.String()
+}
+
+// BenchmarkLicenseBatch prices a batch POST through the handler: cold
+// batches of 64 and 256 items, each round on keys no earlier round
+// asked, so every item is a fill, and a warm 256-item batch answered
+// wholly from the decision cache.
+func BenchmarkLicenseBatch(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		items int
+		cold  bool
+	}{{"cold-64", 64, true}, {"cold-256", 256, true}, {"warm-256", 256, false}} {
+		b.Run(bc.name, func(b *testing.B) {
+			h := newTestServer(b).Handler()
+			post := func(body string) {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/license", strings.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("batch: %d: %s", rec.Code, rec.Body)
+				}
+			}
+			warm := batchBody("warm", 0, bc.items)
+			post(warm)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				body := warm
+				if bc.cold {
+					b.StopTimer()
+					body = batchBody("cold", i, bc.items)
+					b.StartTimer()
+				}
+				post(body)
+			}
+		})
 	}
 }
 

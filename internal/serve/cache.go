@@ -162,34 +162,6 @@ func (l *decisionLRU) GetBytes(key []byte) (*cachedDecision, bool) {
 	return v, true
 }
 
-// GetBatch looks up every key under one lock acquisition, filling out
-// (which must be at least as long as keys) and returning the hit count.
-// Missing keys leave their slot nil. Empty keys mark slots that resolved
-// to an error before the lookup; they are skipped without touching the
-// hit/miss accounting, since no cache lookup ever happens for them.
-func (l *decisionLRU) GetBatch(keys [][]byte, out []*cachedDecision) int {
-	l.mu.Lock()
-	hits := 0
-	for i, key := range keys {
-		if len(key) == 0 {
-			out[i] = nil
-			continue
-		}
-		n, ok := l.entries[string(key)]
-		if !ok {
-			l.misses++
-			out[i] = nil
-			continue
-		}
-		l.hits++
-		l.moveToFront(n)
-		out[i] = n.val
-		hits++
-	}
-	l.mu.Unlock()
-	return hits
-}
-
 // forEach visits every cached decision, most recently used first, under
 // the cache lock without touching the hit/miss accounting or recency.
 // Iteration follows the recency list, not the entries map, so visit

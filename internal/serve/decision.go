@@ -31,11 +31,6 @@ const keySep = 0x1f
 // maxFieldBytes bounds a request's trimmed destination and end use.
 const maxFieldBytes = 256
 
-// batchParallelMin is the number of uncached batch items below which the
-// fill loop runs inline: handing a handful of evaluations to the worker
-// pool costs more in coordination than the evaluations themselves.
-const batchParallelMin = 32
-
 // fillArgs is a resolved license request: the canonicalized inputs a
 // decision is a pure function of. It is passed by pointer through the
 // cache-fill path instead of being captured in a closure, which is what
@@ -48,31 +43,19 @@ type fillArgs struct {
 	th      units.Mtops
 }
 
-// batchSlot is one batch item's state as it moves through the three batch
-// phases (resolve, batched cache lookup, parallel fill).
-type batchSlot struct {
-	args   fillArgs
-	dec    *cachedDecision
-	errMsg string
-	ok     bool // resolved without error
-}
-
 // scratch is the pooled per-request workspace of the license endpoints:
-// the parsed request, the canonical cache key, the body read/assembly
-// buffer, and the batch working set all live here, so a warm request
-// borrows memory instead of allocating it. Byte and slice capacities are
-// retained across uses; pointer-bearing fields are cleared on return to
-// the pool so a pooled scratch never pins request data.
+// the parsed request, the fill arguments and canonical cache key of the
+// decision being answered, and the body read/assembly buffer all live
+// here, so a warm request borrows memory instead of allocating it. Byte
+// capacities are retained across uses; pointer-bearing fields are
+// cleared on return to the pool so a pooled scratch never pins request
+// data.
 type scratch struct {
 	req  LicenseRequest
 	pb   licensePostBody
 	args fillArgs
 	key  []byte
 	buf  []byte
-
-	keys  [][]byte
-	slots []batchSlot
-	decs  []*cachedDecision
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return &scratch{} }}
@@ -83,14 +66,6 @@ func putScratch(sc *scratch) {
 	sc.req = LicenseRequest{}
 	sc.pb = licensePostBody{}
 	sc.args = fillArgs{}
-	for i := range sc.slots {
-		sc.slots[i].args = fillArgs{}
-		sc.slots[i].dec = nil
-		sc.slots[i].errMsg = ""
-	}
-	for i := range sc.decs {
-		sc.decs[i] = nil
-	}
 	scratchPool.Put(sc)
 }
 

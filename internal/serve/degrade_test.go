@@ -46,22 +46,29 @@ func healthOf(t testing.TB, s *Server) HealthResponse {
 // TestPoisonDegradesButAnswersIdentically pins the graceful-degradation
 // contract: with every arrival poisoned, the server bypasses its caches
 // and memos, marks the response X-Degraded, and still answers byte-for-
-// byte what an unfaulted server answers.
+// byte what an unfaulted server answers, a batch included.
 func TestPoisonDegradesButAnswersIdentically(t *testing.T) {
 	degraded := faultedServer(t, 1, "poison=1", nil)
 	clean := newTestServer(t)
 
-	for _, target := range []string{
-		"/v1/license?ctp=21125&dest=india",
-		"/v1/threshold",             // study date: bypasses the report memo
-		"/v1/threshold?date=1994.2", // other dates: bypasses the snapshot LRU
+	for _, tc := range []struct{ method, target, body string }{
+		{"GET", "/v1/license?ctp=21125&dest=india", ""},
+		{"GET", "/v1/threshold", ""},             // study date: bypasses the report memo
+		{"GET", "/v1/threshold?date=1994.2", ""}, // other dates: bypasses the snapshot LRU
+		// Valid items, a key repeated within the batch, and an unknown
+		// system: every item is computed afresh, the repeat included.
+		{"POST", "/v1/license", `{"requests":[{"ctp":21125,"destination":"india"},` +
+			`{"system":"Cray C916","destination":"china","endUse":"weather"},` +
+			`{"system":"no-such-machine","destination":"india"},` +
+			`{"ctp":21125,"destination":" India "}]}`},
 	} {
-		want := do(t, clean.Handler(), "GET", target, "")
+		target := tc.method + " " + tc.target
+		want := do(t, clean.Handler(), tc.method, tc.target, tc.body)
 		if want.Code != http.StatusOK {
 			t.Fatalf("clean %s: %d", target, want.Code)
 		}
 		for i := 0; i < 2; i++ {
-			rec := do(t, degraded.Handler(), "GET", target, "")
+			rec := do(t, degraded.Handler(), tc.method, tc.target, tc.body)
 			if rec.Code != http.StatusOK {
 				t.Fatalf("%s pass %d: %d: %s", target, i, rec.Code, rec.Body.String())
 			}
@@ -78,7 +85,7 @@ func TestPoisonDegradesButAnswersIdentically(t *testing.T) {
 	}
 
 	// Nothing may have been read from or written to the caches.
-	if st := degraded.decisions.Stats(); st.Size != 0 || st.Hits != 0 {
+	if st := degraded.decisions.Stats(); st.Size != 0 || st.Hits != 0 || st.Misses != 0 {
 		t.Errorf("decision cache touched while poisoned: %+v", st)
 	}
 	if st := degraded.snapshots.Stats(); st.Size != 0 || st.Hits != 0 {

@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/apps"
 	"repro/internal/catalog"
@@ -195,13 +194,6 @@ func writeDecision(w http.ResponseWriter, d *cachedDecision, cacheState []string
 // answered. The warm path — parse, resolve, key render, LRU hit, header
 // and body writes — performs zero heap allocations; the benchmark suite
 // pins that with testing.AllocsPerRun.
-//
-// A degraded request treats the cache as poisoned: no read (the entry
-// cannot be trusted), no write (this computation must not displace good
-// entries), and no coalescing (a waiter would be handed a cacheable
-// result). Because cached decisions are immutable and a hit is
-// byte-identical to the cold computation, the fallback answer matches
-// the cached one exactly.
 func (s *Server) answerLicense(w http.ResponseWriter, r *http.Request, req *LicenseRequest, sc *scratch) {
 	if herr := s.resolveLicense(req, &sc.args); herr != nil {
 		WriteError(w, herr.code, "%v", herr.err)
@@ -210,183 +202,103 @@ func (s *Server) answerLicense(w http.ResponseWriter, r *http.Request, req *Lice
 	ctx := r.Context()
 	sc.key = appendDecisionKey(sc.key[:0], &sc.args)
 	obs.RecordFrom(ctx).SetKey(sc.key)
-	lookup := obs.Child(ctx, "cache.lookup")
-	if isDegraded(ctx) {
-		lookup.SetAttr("result", "bypass")
-		lookup.End()
-		d, herr := s.evalDecision(ctx, &sc.args)
-		if herr != nil {
-			WriteError(w, herr.code, "%v", herr.err)
-			return
-		}
-		writeDecision(w, d, headerCacheMiss)
-		return
-	}
-	if d, ok := s.decisions.GetBytes(sc.key); ok {
-		lookup.SetAttr("result", "hit")
-		lookup.End()
-		writeDecision(w, d, headerCacheHit)
-		return
-	}
-	lookup.SetAttr("result", "miss")
-	lookup.End()
-	d, coalesced, err := s.flightDo(ctx, sc.key, &sc.args)
+	d, cacheState, err := s.decide(ctx, sc.key, &sc.args, obs.Child(ctx, "cache.lookup"))
 	if err != nil {
 		WriteError(w, statusOf(err), "%v", err)
 		return
 	}
-	if coalesced {
-		// A coalesced waiter was answered by another request's
-		// computation, exactly as a cache hit would have answered it.
-		writeDecision(w, d, headerCacheHit)
-		return
-	}
-	writeDecision(w, d, headerCacheMiss)
+	writeDecision(w, d, cacheState)
 }
 
-// answerBatch answers a batch in three vectorized phases: resolve every
-// item, look every canonical key up under one cache lock, then fill the
-// misses — in parallel on the batch pool when enough evaluations remain
-// — and assemble the response from the items' precomputed bytes. Each
-// phase touches its shared structure (cache, flight group) once per
-// batch rather than once per item, and duplicate keys within one batch
-// coalesce to a single evaluation through the same singleflight group
-// the GET path uses.
+// decide answers one resolved request keyed by key, from the decision
+// cache or by filling it, and returns the decision with the X-Cache
+// state it goes out under. lookup is the caller's cache.lookup span,
+// annotated with the outcome and ended here.
+//
+// A degraded request treats the cache as poisoned: no read (the entry
+// cannot be trusted), no write (this computation must not displace good
+// entries), and no coalescing (a waiter would be handed a cacheable
+// result). Because cached decisions are immutable and a hit is
+// byte-identical to the cold computation, the fallback answer matches
+// the cached one exactly. Otherwise a hit is answered from the LRU, and
+// a miss is filled through flightDo; a coalesced waiter was answered by
+// another request's computation, exactly as a cache hit would have
+// answered it.
+func (s *Server) decide(ctx context.Context, key []byte, a *fillArgs, lookup obs.Span) (*cachedDecision, []string, error) {
+	if isDegraded(ctx) {
+		lookup.SetAttr("result", "bypass")
+		lookup.End()
+		d, herr := s.evalDecision(ctx, a)
+		if herr != nil {
+			return nil, nil, herr
+		}
+		return d, headerCacheMiss, nil
+	}
+	if d, ok := s.decisions.GetBytes(key); ok {
+		lookup.SetAttr("result", "hit")
+		lookup.End()
+		return d, headerCacheHit, nil
+	}
+	lookup.SetAttr("result", "miss")
+	lookup.End()
+	d, coalesced, err := s.flightDo(ctx, key, a)
+	if err != nil {
+		return nil, nil, err
+	}
+	if coalesced {
+		return d, headerCacheHit, nil
+	}
+	return d, headerCacheMiss, nil
+}
+
+// answerBatch answers a batch as a loop over the single-decision path,
+// in request order: resolve an item, render its key, decide it, then
+// append its decision or its error to the response. A key repeated
+// within the batch is filled once and found in the cache after that, and
+// the fills reach the log in request order. The items pass an inert
+// lookup span, so a batch's record keeps only the evaluation span of
+// each fill, up to the record's bound. A wait on another request's fill
+// that outlives the deadline cuts the batch: the fills this batch leads
+// still complete and reach the cache, but the batch answers 503 whole
+// rather than with a hole in it. The response is assembled from the
+// items' precomputed bytes, byte-identical to marshaling the equivalent
+// BatchResponse.
 func (s *Server) answerBatch(w http.ResponseWriter, r *http.Request, sc *scratch) {
 	ctx := r.Context()
-	reqs := sc.pb.Requests
-	n := len(reqs)
-	if cap(sc.slots) < n {
-		sc.slots = make([]batchSlot, n)
-	} else {
-		sc.slots = sc.slots[:n]
-	}
-	if cap(sc.keys) < n {
-		keys := make([][]byte, n)
-		copy(keys, sc.keys[:cap(sc.keys)])
-		sc.keys = keys
-	} else {
-		sc.keys = sc.keys[:n]
-	}
-	if cap(sc.decs) < n {
-		sc.decs = make([]*cachedDecision, n)
-	} else {
-		sc.decs = sc.decs[:n]
-	}
-	slots := sc.slots
-
-	// Phase 1: resolve every request to canonical fill arguments; items
-	// that fail resolution carry their error and an empty key.
-	for i := range reqs {
-		slots[i].dec = nil
-		slots[i].errMsg = ""
-		slots[i].ok = false
-		if herr := s.resolveLicense(&reqs[i], &slots[i].args); herr != nil {
-			slots[i].errMsg = herr.Error()
-			sc.keys[i] = sc.keys[i][:0]
-			continue
-		}
-		slots[i].ok = true
-		sc.keys[i] = appendDecisionKey(sc.keys[i][:0], &slots[i].args)
-	}
-
-	// Phase 2: one batched cache lookup under a single lock acquisition.
-	degraded := isDegraded(ctx)
-	lookup := obs.Child(ctx, "cache.lookup")
-	pending := 0
-	if degraded {
-		lookup.SetAttr("result", "bypass")
-		for i := range slots {
-			if slots[i].ok {
-				pending++
-			}
-		}
-	} else {
-		lookup.SetAttr("result", "batch")
-		s.decisions.GetBatch(sc.keys, sc.decs)
-		for i := range slots {
-			if !slots[i].ok {
-				continue
-			}
-			if sc.decs[i] != nil {
-				slots[i].dec = sc.decs[i]
-				continue
-			}
-			pending++
-		}
-	}
-	lookup.End()
-
-	// Phase 3: fill the remaining evaluations, splitting them across the
-	// batch pool when enough remain to amortize the handoff. A wait on
-	// another request's fill that outlives the deadline cuts the batch:
-	// the fills this batch leads still complete and reach the cache, but
-	// the batch answers 503 whole rather than with a hole in it.
-	var cut atomic.Bool
-	if pending > 0 {
-		eval := obs.Child(ctx, "safeguards.evaluate")
-		fill := func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				sl := &slots[i]
-				if !sl.ok || sl.dec != nil {
-					continue
-				}
-				if degraded {
-					d, herr := s.evalDecision(ctx, &sl.args)
-					if herr != nil {
-						sl.errMsg = herr.Error()
-						continue
-					}
-					sl.dec = d
-					continue
-				}
-				d, _, err := s.flightDo(ctx, sc.keys[i], &sl.args)
-				if err == errTimedOut {
-					cut.Store(true)
-					continue
-				}
-				if err != nil {
-					sl.errMsg = err.Error()
-					continue
-				}
-				sl.dec = d
-			}
-		}
-		// A parpool.Pool must not Run concurrently: one batch at a time
-		// claims it, and a batch that finds it claimed fills inline.
-		if p := s.batchPool(); p != nil && pending >= batchParallelMin && s.poolBusy.CompareAndSwap(false, true) {
-			p.Run(n, func(_, lo, hi int) { fill(lo, hi) })
-			s.poolBusy.Store(false)
-		} else {
-			fill(0, n)
-		}
-		eval.End()
-	}
-	if cut.Load() {
-		WriteError(w, errTimedOut.code, "%v", errTimedOut)
-		return
-	}
-
-	// Assemble the response from the items' precomputed bytes,
-	// byte-identical to marshaling the equivalent BatchResponse.
+	cut := false
 	body := append(sc.buf[:0], `{"decisions":[`...)
-	for i := range slots {
+	for i := range sc.pb.Requests {
 		if i > 0 {
 			body = append(body, ',')
 		}
-		if d := slots[i].dec; d != nil {
-			body = append(body, `{"decision":`...)
-			body = d.appendJSON(body)
-			body = append(body, '}')
+		var d *cachedDecision
+		var err error
+		if herr := s.resolveLicense(&sc.pb.Requests[i], &sc.args); herr != nil {
+			err = herr
 		} else {
-			msg, _ := json.Marshal(slots[i].errMsg) // a string always encodes
+			sc.key = appendDecisionKey(sc.key[:0], &sc.args)
+			d, _, err = s.decide(ctx, sc.key, &sc.args, obs.Span{})
+		}
+		switch {
+		case err == errTimedOut:
+			cut = true
+		case err != nil:
+			msg, _ := json.Marshal(err.Error()) // a string always encodes
 			body = append(body, `{"error":`...)
 			body = append(body, msg...)
+			body = append(body, '}')
+		default:
+			body = append(body, `{"decision":`...)
+			body = d.appendJSON(body)
 			body = append(body, '}')
 		}
 	}
 	body = append(body, ']', '}', '\n')
 	sc.buf = body
+	if cut {
+		WriteError(w, errTimedOut.code, "%v", errTimedOut)
+		return
+	}
 	WriteRawJSON(w, http.StatusOK, body)
 }
 

@@ -221,34 +221,29 @@ func TestRecordSealsInjectedPoison(t *testing.T) {
 	}
 }
 
-// TestBatchRecordAcrossWorkers: a cold batch large enough to fill on the
-// batch pool records its spans from every worker into the one record,
-// bounded per record. Meaningful under -race.
-func TestBatchRecordAcrossWorkers(t *testing.T) {
-	s, err := New(Config{Clock: testClock, BatchWorkers: 4})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	h := s.Handler()
+// TestColdBatchRecord: a cold 64-item batch records one evaluation span
+// per fill and no lookup span, in span-ID order, and its record keeps
+// only the first 32 of them.
+func TestColdBatchRecord(t *testing.T) {
+	h := newTestServer(t).Handler()
 	var items []string
-	for i := 0; i < 2*batchParallelMin; i++ {
+	for i := 0; i < 64; i++ {
 		items = append(items, fmt.Sprintf(`{"ctp":%d,"destination":"india"}`, 1000+i))
 	}
 	if rec := do(t, h, "POST", "/v1/license", `{"requests":[`+strings.Join(items, ",")+`]}`); rec.Code != http.StatusOK {
 		t.Fatalf("batch: %d: %s", rec.Code, rec.Body)
 	}
 	c := flightRec(t, h).Captures[0]
-	names := spanNames(c)
-	if len(names) < 3 || names[0] != "cache.lookup" || names[1] != "safeguards.evaluate" {
-		t.Fatalf("batch spans = %v, want the lookup, the fill phase, then per-item evaluations", names)
+	if len(c.Spans) != 32 {
+		t.Errorf("batch record keeps %d spans, want the bound, 32", len(c.Spans))
 	}
 	for i, sp := range c.Spans {
+		if sp.Name != "safeguards.evaluate" {
+			t.Fatalf("batch spans = %v, want only per-fill evaluations", spanNames(c))
+		}
 		if i > 0 && sp.ID <= c.Spans[i-1].ID {
 			t.Fatalf("spans not in ID order: %v", c.Spans)
 		}
-	}
-	if len(c.Spans) > 32 {
-		t.Errorf("batch record keeps %d spans, want at most 32", len(c.Spans))
 	}
 }
 

@@ -43,7 +43,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -53,7 +52,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/parpool"
 	"repro/internal/report"
 	"repro/internal/singleflight"
 	"repro/internal/slo"
@@ -87,7 +85,6 @@ type Config struct {
 	MaxInFlight    int           // concurrent requests admitted past the semaphore
 	RequestTimeout time.Duration // per-request deadline on waits (not on work in progress); see middleware
 	MaxBatch       int           // largest accepted /v1/license batch
-	BatchWorkers   int           // workers evaluating large batches and the WAL warm start in parallel; 1 forces inline
 	CacheSize      int           // capacity of each LRU cache
 	DrainTimeout   time.Duration // how long Shutdown waits for in-flight requests
 
@@ -211,13 +208,6 @@ type Server struct {
 	flights       singleflight.Group[*cachedDecision]
 	flightBarrier func(key string)
 
-	// pool evaluates large license batches in parallel; built lazily by
-	// batchPool on the first batch big enough to want it. poolBusy is
-	// held by the one batch running on it.
-	pool     *parpool.Pool
-	poolOnce sync.Once
-	poolBusy atomic.Bool
-
 	projOnce sync.Once
 	projFit  trend.Exponential
 	projErr  error
@@ -242,12 +232,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxBatch < 1 {
 		return nil, errors.New("serve: MaxBatch must be at least 1")
-	}
-	if cfg.BatchWorkers == 0 {
-		cfg.BatchWorkers = defaultBatchWorkers()
-	}
-	if cfg.BatchWorkers < 1 {
-		return nil, errors.New("serve: BatchWorkers must be at least 1")
 	}
 	if cfg.CacheSize == 0 {
 		cfg.CacheSize = DefaultCacheSize
@@ -370,30 +354,4 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 // canonicalFloat renders a float the one way cache keys use.
 func canonicalFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// defaultBatchWorkers sizes the batch evaluation pool: one worker per
-// CPU, capped at 8 — license evaluations are short, so more workers buy
-// contention, not throughput.
-func defaultBatchWorkers() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 8 {
-		n = 8
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// batchPool returns the lazily built batch evaluation pool, nil when the
-// configuration forces inline evaluation. Building it lazily keeps every
-// single-request daemon and test server at zero extra goroutines.
-func (s *Server) batchPool() *parpool.Pool {
-	s.poolOnce.Do(func() {
-		if s.cfg.BatchWorkers > 1 {
-			s.pool = parpool.New(s.cfg.BatchWorkers)
-		}
-	})
-	return s.pool
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"hash/fnv"
 	"log/slog"
+	"runtime"
 	"strconv"
 	"strings"
 
@@ -81,13 +82,25 @@ type replaySlot struct {
 	reason string
 }
 
+// replayParallelMin is the warm-start window below which verification
+// runs inline: handing a handful of recomputations to a pool costs more
+// in coordination than the recomputations themselves.
+const replayParallelMin = 32
+
+// replayWorkers sizes warm start's verification pool: one worker per
+// CPU, capped at 8. A verification takes no shared lock, so unlike a
+// cache fill it splits across workers without contending.
+func replayWorkers() int {
+	return min(runtime.GOMAXPROCS(0), 8)
+}
+
 // warmStart replays the mounted log's recovery stream into the decision
 // cache, recomputing only what a full log-order replay would leave
 // cached. It walks the records newest-first and keeps each key's newest
 // decision record until the window holds as many keys as the cache
 // does; a full replay would overwrite the older records and evict the
 // older keys. The window is recomputed and hash-checked on a transient
-// pool of Config.BatchWorkers workers, each writing only its own slots.
+// pool of replayWorkers workers, each writing only its own slots.
 // The pool is closed, which joins every worker, before the verified
 // entries are Put oldest-first on this goroutine, so the cache ends
 // with the keys, bodies and recency order of a full replay.
@@ -123,11 +136,11 @@ func (s *Server) warmStart() int {
 		seen[r.Key] = struct{}{}
 		window = append(window, replaySlot{rec: r})
 	}
-	// As on the batch path, a window under batchParallelMin keys costs
-	// less to verify inline than to hand to a pool; so does one worker.
+	// A window under replayParallelMin keys costs less to verify inline
+	// than to hand to a pool; so does one worker.
 	var p *parpool.Pool
-	if s.cfg.BatchWorkers > 1 && len(window) >= batchParallelMin {
-		p = parpool.New(s.cfg.BatchWorkers)
+	if workers := replayWorkers(); workers > 1 && len(window) >= replayParallelMin {
+		p = parpool.New(workers)
 	}
 	p.Run(len(window), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {

@@ -214,23 +214,22 @@ func parkedPoolWorkers() int {
 }
 
 // TestWarmStartMatchesFullReplay: warm start recomputes only the newest
-// record of the keys the cache will keep, on BatchWorkers workers, yet
-// must leave the cache exactly as a full log-order replay does — the
-// same keys in the same recency order, with the same bodies and hashes
-// — and must have closed its pool when New returns. A negative
-// CacheSize, which New accepts and the LRU raises to one entry, keeps
-// the newest key.
+// record of the keys the cache will keep, on one worker per CPU (here
+// GOMAXPROCS 1, 2 and 8), yet must leave the cache exactly as a full
+// log-order replay does — the same keys in the same recency order, with
+// the same bodies and hashes — and must have closed its pool when New
+// returns. A negative CacheSize, which New accepts and the LRU raises to
+// one entry, keeps the newest key.
 func TestWarmStartMatchesFullReplay(t *testing.T) {
 	dir := t.TempDir()
 	writeWarmStartLog(t, dir)
-	for _, tc := range []struct{ cacheSize, workers, kept int }{
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct{ cacheSize, procs, kept int }{
 		{64, 1, 64}, {64, 2, 64}, {64, 8, 64}, {-1, 2, 1},
 	} {
+		runtime.GOMAXPROCS(tc.procs)
 		before := parkedPoolWorkers()
-		s, l := newWALServer(t, dir, func(cfg *Config) {
-			cfg.CacheSize = tc.cacheSize
-			cfg.BatchWorkers = tc.workers
-		})
+		s, l := newWALServer(t, dir, func(cfg *Config) { cfg.CacheSize = tc.cacheSize })
 		if after := parkedPoolWorkers(); after != before {
 			t.Errorf("%+v: %d parpool workers parked after New, %d before", tc, after, before)
 		}
@@ -316,6 +315,87 @@ func TestWarmStartJudgesKeyByNewestRecord(t *testing.T) {
 		if got := do(t, s2.Handler(), "GET", target, "").Header().Get("X-Cache"); got != "hit" {
 			t.Fatalf("%s after restart: X-Cache=%q, want hit", target, got)
 		}
+	}
+}
+
+// TestBatchCommitsEachKeyOnce: a batch that repeats a cold key fills and
+// logs it once, as two GETs of it would: one WAL append and one leader
+// fill (singleflight_leader_fills_total) per distinct key, with the
+// repeat answered from the cache and byte-identical to the first.
+func TestBatchCommitsEachKeyOnce(t *testing.T) {
+	s, l := newWALServer(t, t.TempDir(), nil)
+	defer func() { _ = l.Close() }()
+	rec := do(t, s.Handler(), "POST", "/v1/license", `{"requests":[`+
+		`{"ctp":2000,"destination":"japan"},{"ctp":3000,"destination":"india"},{"ctp":2000,"destination":" Japan"}]}`)
+	var br BatchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &br); err != nil || rec.Code != http.StatusOK || len(br.Decisions) != 3 {
+		t.Fatalf("batch: %d %v: %s", rec.Code, err, rec.Body)
+	}
+	if !reflect.DeepEqual(br.Decisions[0], br.Decisions[2]) || br.Decisions[0].Decision == nil {
+		t.Errorf("repeated item answered %+v, first %+v", br.Decisions[2], br.Decisions[0])
+	}
+	if got := l.Stats().Appends; got != 2 {
+		t.Errorf("WAL appends = %d for 2 distinct keys, want 2", got)
+	}
+	if got := s.met.flightLeaders.Value(); got != 2 {
+		t.Errorf("leader fills = %v for 2 distinct keys, want 2", got)
+	}
+	if st := s.decisions.Stats(); st.Hits != 1 || st.Misses != 2 {
+		t.Errorf("cache hits %d, misses %d, want 1 and 2", st.Hits, st.Misses)
+	}
+}
+
+// TestBatchRecordsRecoverInRequestOrder: a cold 64-item batch appends
+// its decisions in the order it lists them, which is the order the
+// regime detector judges them in, so a restart recovers them in request
+// order. Four such batches run back to back, so an order that held by
+// chance for one does not pass the test.
+func TestBatchRecordsRecoverInRequestOrder(t *testing.T) {
+	dir := t.TempDir()
+	s, l := newWALServer(t, dir, nil)
+	var want []string
+	for round := 0; round < 4; round++ {
+		var items []string
+		for i := 0; i < 64; i++ {
+			req := LicenseRequest{CTP: CTPValue(1000 + 37*i), Destination: "india", EndUse: fmt.Sprintf("order %d.%d", round, i)}
+			if i%2 == 1 {
+				req.Threshold = 7000
+			}
+			body, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			items = append(items, string(body))
+			var a fillArgs
+			if herr := s.resolveLicense(&req, &a); herr != nil {
+				t.Fatal(herr)
+			}
+			want = append(want, string(appendDecisionKey(nil, &a)))
+		}
+		if rec := do(t, s.Handler(), "POST", "/v1/license", `{"requests":[`+strings.Join(items, ",")+`]}`); rec.Code != http.StatusOK {
+			t.Fatalf("batch %d: %d: %s", round, rec.Code, rec.Body)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("close log: %v", err)
+	}
+	l2, err := wal.Open(wal.Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer func() { _ = l2.Close() }()
+	var got []string
+	for _, r := range l2.Recovery().Records {
+		got = append(got, r.Key)
+	}
+	if !slices.Equal(got, want) {
+		inOrder := 0
+		for i := range min(len(got), len(want)) {
+			if got[i] == want[i] {
+				inOrder++
+			}
+		}
+		t.Fatalf("recovered %d records, %d of %d in request order", len(got), inOrder, len(want))
 	}
 }
 

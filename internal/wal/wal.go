@@ -398,7 +398,11 @@ func (l *Log) removeBelow(seq uint64) error {
 			}
 		}
 	}
-	return syncDir(l.dir)
+	if err := syncDir(l.dir); err != nil {
+		return err
+	}
+	l.fsyncs.Add(1)
+	return nil
 }
 
 // Close seals the live segment; further appends fail.

@@ -426,6 +426,25 @@ func TestSnapshotCarriesLastAppended(t *testing.T) {
 // after Open and after appends, and the first compaction drops them (and
 // Last) while every tally stays. A caller still holding the value read
 // before the compaction keeps the records it read.
+// TestSnapshotCountsEveryFsync: one compaction makes five fsyncs (the
+// sealed segment, the new segment's header, the snapshot file, the
+// directory after the rename, and the directory after the old files are
+// removed), and Stats counts each of them. Under FsyncNever the appends
+// around it make none.
+func TestSnapshotCountsEveryFsync(t *testing.T) {
+	l := mustOpen(t, Options{Dir: t.TempDir(), Fsync: FsyncNever})
+	defer func() { _ = l.Close() }()
+	mustAppend(t, l, mkRecord(1, 2000), mkRecord(2, 2000))
+	before := l.Stats().Fsyncs
+	if err := l.Snapshot([]Record{mkRecord(2, 2000), mkRecord(1, 2000)}); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	mustAppend(t, l, mkRecord(3, 7000))
+	if got := l.Stats().Fsyncs - before; got != 5 {
+		t.Fatalf("one Snapshot moved Fsyncs by %d, want 5", got)
+	}
+}
+
 func TestRecoveryReleasedAtFirstSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, Options{Dir: dir})
