@@ -49,9 +49,10 @@ echo "== request deadline, ctx-aware singleflight, parallel warm start, concurre
 # semaphore slot, the warm start that recomputes on a transient worker
 # pool (same cache as a full replay; a key judged by its newest record),
 # cold batches from several callers filling side by side through one
-# cache and one flight group, and the gateway's parked fetch goroutines
-# (one reused across sequential GETs; hedges, herds and concurrent cold
-# batches run on reused goroutines, and Close releases them), the one
+# cache and one flight group, cold batches from several callers
+# forwarded whole through the gateway, and the gateway's parked fetch
+# goroutines (one reused across sequential GETs; hedges and herds run on
+# reused goroutines, and Close releases them), the one
 # record per request (spans ended on many goroutines, a cold batch's
 # bounded record of per-fill spans, a pinned record keeping its spans
 # past ring wrap, /v1/traces and /v1/flightrec read from one ring), a
@@ -232,9 +233,6 @@ go test -run '^$' -fuzz 'FuzzSnapshotReplay$' -fuzztime 3s ./internal/wal > /dev
 echo "== decision-key fuzz smoke (the scanner warm start parses keys with) =="
 go test -run '^$' -fuzz 'FuzzDecisionKeyRoundTrip$' -fuzztime 3s ./internal/serve > /dev/null
 
-echo "== batch-split fuzz smoke (the gateway's splitter, against encoding/json) =="
-go test -run '^$' -fuzz 'FuzzSplitBatchItems$' -fuzztime 3s ./internal/gateway > /dev/null
-
 echo "== profile fuzz smoke (fault and SLO specs round-trip through String) =="
 go test -run '^$' -fuzz 'FuzzFaultProfileRoundTrip$' -fuzztime 3s ./internal/fault > /dev/null
 go test -run '^$' -fuzz 'FuzzSLOProfileRoundTrip$' -fuzztime 3s ./internal/slo > /dev/null
@@ -394,6 +392,31 @@ fi
 for i in $(seq 1 20); do
 	curl -fsS "http://localhost:18100/v1/license?ctp=$((500 + 37 * i))&dest=india" > /dev/null
 done
+# A batch goes whole to its first item's owner, which answers it as any
+# single node does: a 64-item batch and a 257-item one (over the
+# backends' 256-request limit) through the gateway must be
+# byte-identical to the same body posted straight to a backend, 200 and
+# 413.
+for n in 64:200 257:413; do
+	items=${n%:*}
+	want=${n#*:}
+	awk -v n="$items" 'BEGIN {
+		printf "{\"requests\":["
+		for (i = 1; i <= n; i++)
+			printf "%s{\"ctp\":%d,\"destination\":\"france\"}", (i > 1 ? "," : ""), 1000 + 7 * i
+		print "]}"
+	}' > "$scrapedir/batch$items"
+	for port in 18100 18101; do
+		code=$(curl -sS -o "$scrapedir/batch${items}_$port" -w '%{http_code}' \
+			-H 'Content-Type: application/json' --data-binary @"$scrapedir/batch$items" \
+			"http://localhost:$port/v1/license")
+		if [ "$code" != "$want" ]; then
+			echo "ci.sh: a $items-item batch to port $port answered $code, want $want" >&2
+			exit 1
+		fi
+	done
+	cmp "$scrapedir/batch${items}_18100" "$scrapedir/batch${items}_18101"
+done
 kill -9 "$b2pid"
 wait "$b2pid" 2> /dev/null || true
 b2pid=""
@@ -474,7 +497,6 @@ b3pid=""
 #   go test -fuzz=FuzzParseLicenseQuery -fuzztime=30s ./internal/serve
 #   go test -fuzz=FuzzDecisionKeyRoundTrip -fuzztime=30s ./internal/serve
 #   go test -fuzz=FuzzCachedDecisionBytes -fuzztime=30s ./internal/serve
-#   go test -fuzz=FuzzSplitBatchItems -fuzztime=30s ./internal/gateway
 #   go test -fuzz=FuzzWatchStream -fuzztime=30s ./internal/serve/client
 #   go test -fuzz=FuzzFaultProfileRoundTrip -fuzztime=30s ./internal/fault
 #   go test -fuzz=FuzzSLOProfileRoundTrip -fuzztime=30s ./internal/slo

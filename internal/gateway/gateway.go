@@ -4,7 +4,7 @@
 // already agree on — across N hpcexportd replicas.
 //
 //	GET/POST /v1/license  keyed routing, gateway singleflight, hedged reads;
-//	                      batches scatter-gather across owner shards
+//	                      a batch goes whole to its first item's owner
 //	GET  /v1/healthz      aggregated cluster health (gateway + every backend)
 //	GET  /metrics         the gateway's own Prometheus exposition
 //	GET  /v1/metrics      the same registry as a JSON snapshot
@@ -56,7 +56,6 @@ const (
 	DefaultHedgeCold    = 10 * time.Millisecond
 	DefaultHedgeMin     = time.Millisecond
 	DefaultDrainTimeout = 5 * time.Second
-	DefaultMaxBatch     = serve.DefaultMaxBatch
 )
 
 // Forwarding constants. retryBackoff is the pause before a retryable
@@ -115,14 +114,6 @@ type Config struct {
 	HedgeCold time.Duration
 	HedgeMin  time.Duration
 	NoHedge   bool
-
-	// MaxBatch bounds the batch size the gateway will scatter-gather;
-	// larger batches are forwarded whole so the owning backend renders
-	// its canonical rejection. An over-limit batch gets a single node's
-	// answer only while MaxBatch equals the backends' own limit (both
-	// default to serve.DefaultMaxBatch): a larger MaxBatch splits a batch
-	// every backend would refuse whole into shards each one accepts.
-	MaxBatch int
 
 	// DrainTimeout bounds graceful shutdown.
 	DrainTimeout time.Duration
@@ -197,8 +188,6 @@ type Gateway struct {
 	retries         *obs.Counter
 	noHealthy       *obs.Counter
 	reloads         *obs.Counter
-	batches         *obs.Counter
-	batchFanout     *obs.Counter
 
 	// flightBarrier is a test hook invoked by the singleflight leader
 	// between winning a key and fetching; afterHedgeVerify is invoked
@@ -244,9 +233,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	if cfg.HedgeMin == 0 {
 		cfg.HedgeMin = DefaultHedgeMin
-	}
-	if cfg.MaxBatch == 0 {
-		cfg.MaxBatch = DefaultMaxBatch
 	}
 	if cfg.DrainTimeout == 0 {
 		cfg.DrainTimeout = DefaultDrainTimeout
@@ -299,8 +285,6 @@ func New(cfg Config) (*Gateway, error) {
 	g.retries = g.reg.Counter("gateway_retries_total", "forwarding retries (transport failover and retryable statuses)")
 	g.noHealthy = g.reg.Counter("gateway_no_healthy_fallback_total", "keyed routes that fell back to a drained member because none were healthy")
 	g.reloads = g.reg.Counter("gateway_membership_reloads_total", "membership changes applied (including the initial set)")
-	g.batches = g.reg.Counter("gateway_batches_total", "batch requests scatter-gathered")
-	g.batchFanout = g.reg.Counter("gateway_batch_fanout_total", "owner shards fanned out across all batches")
 	g.reg.Func("gateway_members", "current member count", obs.KindGauge, func() float64 {
 		g.mu.RLock()
 		defer g.mu.RUnlock()

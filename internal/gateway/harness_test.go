@@ -129,7 +129,7 @@ func promCounterValue(t *testing.T, exposition []byte, name string) uint64 {
 // gateway itself also listening on loopback so tests exercise the full
 // HTTP path end to end.
 type testCluster struct {
-	t        *testing.T
+	t        testing.TB
 	backends []*testBackend
 	gw       *Gateway
 	front    *httptest.Server
@@ -139,7 +139,7 @@ type testCluster struct {
 // harness; mkServer builds member i's server (nil for a plain unfaulted
 // daemon on the fixed test clock). The gateway's prober is NOT started —
 // tests drive probeOnce and reloadMembership directly.
-func newTestCluster(t *testing.T, k int, cfg Config, mkServer func(t *testing.T, i int) *serve.Server) *testCluster {
+func newTestCluster(t testing.TB, k int, cfg Config, mkServer func(t testing.TB, i int) *serve.Server) *testCluster {
 	t.Helper()
 	tc := &testCluster{t: t}
 	urls := make([]string, 0, k)

@@ -1,14 +1,14 @@
 package gateway
 
 // Every backend exchange a request waits on away from its own goroutine —
-// a keyed fetch, its hedge replica, the hedge verifier, a batch shard —
-// runs on a fetch goroutine. A keyed fetch cannot run inline on the
-// handler's goroutine: a hedge that wins must be returned before the
-// primary's Client.Do returns, and the primary must still finish so its
-// answer can be byte-compared. A goroutine started per fetch would begin
-// on a minimal stack that net/http's exchange regrows on every request,
-// so a fetch goroutine parks after its fetch, keeping its grown stack,
-// and the next fetch is handed to it.
+// a keyed fetch, its hedge replica, the hedge verifier — runs on a fetch
+// goroutine. A keyed fetch cannot run inline on the handler's goroutine:
+// a hedge that wins must be returned before the primary's Client.Do
+// returns, and the primary must still finish so its answer can be
+// byte-compared. A goroutine started per fetch would begin on a minimal
+// stack that net/http's exchange regrows on every request, so a fetch
+// goroutine parks after its fetch, keeping its grown stack, and the next
+// fetch is handed to it.
 
 // maxParkedFetchers bounds the fetch goroutines that stay parked between
 // fetches. The goroutines a wider burst starts exit after their fetch.

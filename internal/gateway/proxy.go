@@ -228,18 +228,14 @@ func (g *Gateway) serveKeyed(w http.ResponseWriter, r *http.Request, key []byte,
 }
 
 func (g *Gateway) handleLicenseGet(w http.ResponseWriter, r *http.Request) {
-	req, ok := serve.DecodeLicenseQuery(r.URL.RawQuery)
-	if !ok {
-		// The backend owns the canonical error text; forward unrouted.
-		g.proxyByURI(w, r, nil)
-		return
+	if req, ok := serve.DecodeLicenseQuery(r.URL.RawQuery); ok {
+		if key, ok := serve.ResolveDecisionKey(nil, &req); ok {
+			g.serveKeyed(w, r, key, http.MethodGet, r.URL.RequestURI(), nil)
+			return
+		}
 	}
-	key, ok := serve.ResolveDecisionKey(nil, &req)
-	if !ok {
-		g.proxyByURI(w, r, nil)
-		return
-	}
-	g.serveKeyed(w, r, key, http.MethodGet, r.URL.RequestURI(), nil)
+	// The backend owns the canonical error text; forward unkeyed.
+	g.proxy(w, r, "", nil)
 }
 
 func (g *Gateway) handleLicensePost(w http.ResponseWriter, r *http.Request) {
@@ -249,34 +245,34 @@ func (g *Gateway) handleLicensePost(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	single, batch, isBatch, ok := serve.DecodeLicenseBody(body)
-	if !ok {
-		g.proxyByURI(w, r, body)
-		return
-	}
-	if isBatch {
-		if len(batch) > g.cfg.MaxBatch {
-			// Forward whole: the owning backend renders its canonical
-			// over-limit rejection.
-			g.proxyByURI(w, r, body)
+	var key []byte
+	switch {
+	case !ok:
+		// The backend owns the canonical error text; forward unkeyed.
+	case !isBatch:
+		if key, ok = serve.ResolveDecisionKey(nil, &single); ok {
+			g.serveKeyed(w, r, key, http.MethodPost, "/v1/license", body)
 			return
 		}
-		g.scatterGather(w, r, batch, body)
-		return
+	case len(batch) > 0:
+		// A batch goes whole to its first item's owner, which renders
+		// every item, and an over-limit rejection, as a single node does.
+		key, _ = serve.ResolveDecisionKey(nil, &batch[0])
 	}
-	key, ok := serve.ResolveDecisionKey(nil, &single)
-	if !ok {
-		g.proxyByURI(w, r, body)
-		return
-	}
-	g.serveKeyed(w, r, key, http.MethodPost, "/v1/license", body)
+	g.proxy(w, r, string(key), body)
 }
 
-// proxyByURI routes a request by the hash of its URI — no canonical key,
-// but still deterministic, so repeated catalog/threshold reads warm one
-// backend's memo instead of all of them.
-func (g *Gateway) proxyByURI(w http.ResponseWriter, r *http.Request, body []byte) {
+// proxy forwards a request to its routing key's owner with
+// forwardKeyed's retries and failover, and no singleflight or hedge.
+// A request with no key routes by the hash of its URI — still
+// deterministic, so repeated catalog/threshold reads warm one backend's
+// memo instead of all of them.
+func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, key string, body []byte) {
 	uri := r.URL.RequestURI()
-	res, err := g.forwardKeyed(r.Context(), uri, r.Method, uri, body, w.Header()["X-Request-Id"], "")
+	if key == "" {
+		key = uri
+	}
+	res, err := g.forwardKeyed(r.Context(), key, r.Method, uri, body, w.Header()["X-Request-Id"], "")
 	if err != nil {
 		serve.WriteError(w, http.StatusBadGateway, "gateway: %v", err)
 		return
@@ -294,7 +290,7 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 		}
 		body = b
 	}
-	g.proxyByURI(w, r, body)
+	g.proxy(w, r, "", body)
 }
 
 func (g *Gateway) handleWatch(w http.ResponseWriter, r *http.Request) {

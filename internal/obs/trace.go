@@ -36,15 +36,16 @@ type Trace struct {
 
 // maxSpans bounds the spans one record keeps: a batch starts one
 // evaluation span per missed item, and the ring keeps every record.
-// Spans past the bound still time their work but are not kept.
+// A record keeps its first maxSpans children (IDs 2 to maxSpans+1);
+// a span started past the bound is inert and reads no clock.
 const maxSpans = 32
 
 // Span is one in-progress operation under a request's record. Child and
 // StartSpan return it by value; a Span started without an open record in
-// the context (no recorder, an unrecorded route, or a sealed record) is
-// inert, so callers annotate and End unconditionally. A Span's SetAttr
-// and End are meant for the goroutine that started it; sibling spans of
-// one record may run concurrently.
+// the context (no recorder, an unrecorded route, or a sealed record), or
+// past the record's maxSpans bound, is inert, so callers annotate and End
+// unconditionally. A Span's SetAttr and End are meant for the goroutine
+// that started it; sibling spans of one record may run concurrently.
 type Span struct {
 	rec   *Record
 	start time.Time
@@ -72,13 +73,13 @@ func scopeOf(ctx context.Context) (*Record, uint64) {
 }
 
 // startSpan begins a child of span parent, or returns the inert span
-// when rec is nil or sealed.
+// when rec is nil or sealed or has started maxSpans children.
 func (rec *Record) startSpan(parent uint64, name string) Span {
 	if rec == nil {
 		return Span{}
 	}
 	rec.mu.Lock()
-	if rec.sealed {
+	if rec.sealed || rec.next > maxSpans+1 {
 		rec.mu.Unlock()
 		return Span{}
 	}
@@ -125,7 +126,7 @@ func (s *Span) End() {
 	s.rec = nil
 	s.sr.DurNs = int64(rec.clock().Sub(s.start))
 	rec.mu.Lock()
-	if !rec.sealed && len(rec.c.Spans) < maxSpans {
+	if !rec.sealed {
 		rec.c.Spans = append(rec.c.Spans, s.sr)
 	}
 	rec.mu.Unlock()

@@ -156,18 +156,35 @@ func TestSpanDoubleEndAndLateChild(t *testing.T) {
 }
 
 // TestRecordKeepsAtMostMaxSpans: a batch's per-item spans cannot grow
-// one record without bound.
+// one record without bound. The record keeps its first maxSpans
+// children, and a span started past the bound reads no clock.
 func TestRecordKeepsAtMostMaxSpans(t *testing.T) {
+	script := scriptClock()
+	var reads atomic.Int64
+	clock := func() time.Time {
+		reads.Add(1)
+		return script()
+	}
 	r := NewRecorder(1)
-	ctx, rec, _ := openAt(r, scriptClock(), "batch")
+	ctx, rec, _ := openAt(r, clock, "batch")
 	for i := 0; i < 3*maxSpans; i++ {
+		before := reads.Load()
 		s := Child(ctx, "safeguards.evaluate")
 		s.End()
+		if n := reads.Load() - before; i >= maxSpans && n != 0 {
+			t.Fatalf("span %d, past the bound, read the clock %d times", i, n)
+		}
 	}
 	rec.Seal(200, 1, "", "", false, nil)
 	caps, _ := r.Snapshot()
-	if n := len(caps[0].Spans); n != maxSpans {
-		t.Errorf("record kept %d spans, want %d", n, maxSpans)
+	spans := caps[0].Spans
+	if len(spans) != maxSpans {
+		t.Fatalf("record kept %d spans, want %d", len(spans), maxSpans)
+	}
+	for i, s := range spans {
+		if s.ID != uint64(i+2) {
+			t.Fatalf("kept span %d has ID %d, want IDs 2 to %d", i, s.ID, maxSpans+1)
+		}
 	}
 }
 
